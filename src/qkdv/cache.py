@@ -33,13 +33,14 @@ def wang_path(cache_dir: Path, d: int) -> Path:
 
 
 def load_density(path: Path, d: int) -> DiffPoly | None:
-    """Parse a cached density; any corruption or key mismatch returns None."""
+    """Parse a cached density; corruption, a wrong shape or a key mismatch give None."""
     try:
         payload = json.loads(path.read_text())
         if payload.get("d") != d or payload.get("engine") != ENGINE_VERSION:
             return None
         return from_json_dict(payload)
-    except (OSError, ValueError, KeyError, TypeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError,
+            ZeroDivisionError):
         return None
 
 

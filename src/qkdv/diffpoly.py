@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator
 
-from .scalars import MINUS_I, ONE, Scalar, as_scalar
+from .scalars import MINUS_I, ONE, Scalar, accumulate, as_scalar
 
 
 class OddPowerError(ValueError):
@@ -186,15 +186,7 @@ class DiffPoly:
         other = _coerce_poly(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self._terms)
-        for mono, c in other._terms.items():
-            acc = out.get(mono)
-            new = c if acc is None else acc + c
-            if new:
-                out[mono] = new
-            elif acc is not None:
-                del out[mono]
-        return DiffPoly(out)
+        return DiffPoly(accumulate(other._terms.items(), dict(self._terms)))
 
     __radd__ = __add__
 
@@ -218,18 +210,13 @@ class DiffPoly:
             return self.scale(other)
         if not isinstance(other, DiffPoly):
             return NotImplemented
-        out: dict[DiffMonomial, Scalar] = {}
-        for m1, c1 in self._terms.items():
-            for m2, c2 in other._terms.items():
-                mono = m1.mul(m2)
-                c = c1 * c2
-                acc = out.get(mono)
-                new = c if acc is None else acc + c
-                if new:
-                    out[mono] = new
-                elif acc is not None:
-                    del out[mono]
-        return DiffPoly(out)
+        return DiffPoly(
+            accumulate(
+                (m1.mul(m2), c1 * c2)
+                for m1, c1 in self._terms.items()
+                for m2, c2 in other._terms.items()
+            )
+        )
 
     __rmul__ = __mul__
 
@@ -308,46 +295,33 @@ def _coerce_poly(x):
 
 def dx(f: DiffPoly) -> DiffPoly:
     """Total x-derivative: the derivation sending u_s to u_{s+1}."""
-    out: dict[DiffMonomial, Scalar] = {}
-    for mono, c in f.terms():
-        for idx, (s, e) in enumerate(mono.uexp):
-            rest = list(mono.uexp)
-            if e == 1:
-                del rest[idx]
-            else:
-                rest[idx] = (s, e - 1)
-            new = DiffMonomial.make(rest + [(s + 1, 1)], mono.hbar)
-            add = c * e
-            acc = out.get(new)
-            tot = add if acc is None else acc + add
-            if tot:
-                out[new] = tot
-            elif acc is not None:
-                del out[new]
-    return DiffPoly(out)
+    # make() merges u_{s+1} into its entry and drops a zero exponent of u_s
+    return DiffPoly(
+        accumulate(
+            (
+                DiffMonomial.make(
+                    mono.uexp[:i] + ((s, e - 1), (s + 1, 1)) + mono.uexp[i + 1 :],
+                    mono.hbar,
+                ),
+                c * e,
+            )
+            for mono, c in f.terms()
+            for i, (s, e) in enumerate(mono.uexp)
+        )
+    )
 
 
 def partial_u(f: DiffPoly, s: int) -> DiffPoly:
     """Formal partial derivative with respect to u_s."""
     if s < 0:
         raise ValueError(f"negative jet index {s}")
-    out: dict[DiffMonomial, Scalar] = {}
+    pairs = []
     for mono, c in f.terms():
         e = mono.exponent_of(s)
-        if not e:
-            continue
-        rest = [(j, x) for j, x in mono.uexp if j != s]
-        if e > 1:
-            rest.append((s, e - 1))
-        new = DiffMonomial.make(rest, mono.hbar)
-        add = c * e
-        acc = out.get(new)
-        tot = add if acc is None else acc + add
-        if tot:
-            out[new] = tot
-        elif acc is not None:
-            del out[new]
-    return DiffPoly(out)
+        if e:
+            rest = [(j, x - 1 if j == s else x) for j, x in mono.uexp]
+            pairs.append((DiffMonomial.make(rest, mono.hbar), c * e))
+    return DiffPoly(accumulate(pairs))
 
 
 def variational_derivative(f: DiffPoly) -> DiffPoly:
@@ -395,21 +369,14 @@ def scale_substitute(f: DiffPoly) -> DiffPoly:
     even, so the result picks up (-i*hbar)^(t/2) and no radical is ever
     stored.  Odd t raises :class:`OddPowerError`.
     """
-    out: dict[DiffMonomial, Scalar] = {}
+    pairs = []
     for mono, c in f.terms():
         t = mono.jet_weight()
         if t % 2:
             raise OddPowerError(f"odd total jet weight {t} in monomial {mono}")
         half = t // 2
-        new = DiffMonomial(mono.uexp, mono.hbar + half)
-        add = c * MINUS_I**half
-        acc = out.get(new)
-        tot = add if acc is None else acc + add
-        if tot:
-            out[new] = tot
-        elif acc is not None:
-            del out[new]
-    return DiffPoly(out)
+        pairs.append((DiffMonomial(mono.uexp, mono.hbar + half), c * MINUS_I**half))
+    return DiffPoly(accumulate(pairs))
 
 
 # -- serialization ---------------------------------------------------------
@@ -429,14 +396,12 @@ def to_json_dict(f: DiffPoly) -> dict:
 
 
 def from_json_dict(d: dict) -> DiffPoly:
-    out: dict[DiffMonomial, Scalar] = {}
+    pairs = []
     for entry in d["terms"]:
         c = Scalar(Fraction(entry["c"]["re"]), Fraction(entry["c"]["im"]))
-        mono = DiffMonomial.make(
-            {int(s): int(e) for s, e in entry["u"].items()}, int(entry["hbar"])
-        )
-        out[mono] = out.get(mono, Scalar()) + c
-    return DiffPoly(out)
+        uexp = {int(s): int(e) for s, e in entry["u"].items()}
+        pairs.append((DiffMonomial.make(uexp, int(entry["hbar"])), c))
+    return DiffPoly(accumulate(pairs))
 
 
 def to_json(f: DiffPoly) -> str:

@@ -25,12 +25,14 @@ Because annihilated parts must lie in the state and created parts must
 balance them, every contributing mode is bounded by the state's momentum:
 each sector computation below is exact, not a truncation.
 
-The enumeration never walks raw ordered tuples.  Per monomial and basis
-state it enumerates annihilation sub-multisets, solves for creation
-multisets via the zero-sum constraint, and multiplies by the combinatorial
-weight of distributing that mode multiset over the monomial's positions.
-Results for (monomial, partition) pairs are cached, so repeated commutator
-checks share almost all their work.
+The enumeration never walks raw ordered tuples.  One generator,
+``_monomial_terms``, serves every action: per monomial and state it draws
+annihilation sub-multisets, weighted by the ways to draw them, solves for
+creation multisets via the zero-sum constraint, and multiplies by the weight
+of distributing that mode multiset over the monomial's positions.  The plain
+action and the slice with exactly one cross pairing differ only in how the
+ways are counted.  Results are memoized per (monomial, state) and per
+(density, state), so repeated commutator checks share almost all their work.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import lru_cache
 from .diffpoly import DiffPoly
 from .functionals import poisson_density
 from .hierarchy import wang_hamiltonian
-from .scalars import I, ONE, Scalar, as_scalar
+from .scalars import I, ONE, Scalar, accumulate, as_scalar
 
 
 class CommutatorNonzero(Exception):
@@ -193,15 +195,7 @@ class SectorScalar:
         return max((h for h, _ in self._terms), default=0)
 
     def __add__(self, other: SectorScalar) -> SectorScalar:
-        out = dict(self._terms)
-        for key, c in other._terms.items():
-            acc = out.get(key)
-            tot = c if acc is None else acc + c
-            if tot:
-                out[key] = tot
-            elif acc is not None:
-                del out[key]
-        return SectorScalar(out)
+        return SectorScalar(accumulate(other._terms.items(), dict(self._terms)))
 
     def __neg__(self) -> SectorScalar:
         return SectorScalar({k: -v for k, v in self._terms.items()})
@@ -214,18 +208,13 @@ class SectorScalar:
             return self.scale(other)
         if not isinstance(other, SectorScalar):
             return NotImplemented
-        out: dict[tuple[int, int], Scalar] = {}
-        for (h1, p1), c1 in self._terms.items():
-            for (h2, p2), c2 in other._terms.items():
-                key = (h1 + h2, p1 + p2)
-                c = c1 * c2
-                acc = out.get(key)
-                tot = c if acc is None else acc + c
-                if tot:
-                    out[key] = tot
-                elif acc is not None:
-                    del out[key]
-        return SectorScalar(out)
+        return SectorScalar(
+            accumulate(
+                ((h1 + h2, p1 + p2), c1 * c2)
+                for (h1, p1), c1 in self._terms.items()
+                for (h2, p2), c2 in other._terms.items()
+            )
+        )
 
     __rmul__ = __mul__
 
@@ -300,15 +289,7 @@ class FockVector:
         return len(self._entries)
 
     def __add__(self, other: FockVector) -> FockVector:
-        out = dict(self._entries)
-        for lam, amp in other._entries.items():
-            acc = out.get(lam)
-            tot = amp if acc is None else acc + amp
-            if tot:
-                out[lam] = tot
-            elif acc is not None:
-                del out[lam]
-        return FockVector(out)
+        return FockVector(accumulate(other._entries.items(), dict(self._entries)))
 
     def __neg__(self) -> FockVector:
         return FockVector({lam: -amp for lam, amp in self._entries.items()})
@@ -457,6 +438,37 @@ def _assignment_weight(
     return total
 
 
+def _monomial_terms(jet_groups, pool: Partition, ways):
+    """Every term of the bare monomial prod u_j acting on the parts in pool.
+
+    Yields (untouched parts, created modes, amplitude).  ``ways(ann)`` counts
+    the ways to draw the annihilated sub-multiset ``ann``, as (part, count)
+    pairs, from the state; a count of zero skips it.  Amplitudes carry the
+    hbar powers from annihilations and the p0 powers from zero modes.
+    """
+    r = sum(cnt for _, cnt in jet_groups)
+    for ann in _submultisets(sorted(pool.counts().items()), r):
+        n = ways(ann)
+        if not n:
+            continue
+        size_a = sum(a for _, a in ann)
+        t = sum(k * a for k, a in ann)
+        ann_scalar = ONE
+        for k, a in ann:
+            ann_scalar = ann_scalar * (I * k) ** a
+        ann_scalar = ann_scalar * n
+        stripped = pool.remove(ann)
+        for creators in _bounded_partitions(t, r - size_a):
+            z = r - size_a - len(creators)
+            vals = accumulate(((-c, 1) for c in creators), dict(ann))
+            if z:
+                vals[0] = z
+            w = _assignment_weight(jet_groups, tuple(sorted(vals.items())))
+            if w:
+                amp = SectorScalar.monomial(w * ann_scalar, size_a, z)
+                yield stripped, creators, amp
+
+
 @lru_cache(maxsize=None)
 def _split_apply(
     jet_groups: tuple[tuple[int, int], ...], lam: Partition
@@ -464,52 +476,19 @@ def _split_apply(
     """Apply the coefficient-free monomial prod u_j to a basis state.
 
     Returns (surviving parts, created parts, amplitude) triples, keeping
-    the state's untouched parts separate from the freshly created ones;
-    amplitudes carry the hbar powers from annihilations and the p0 powers
-    from zero modes.
+    the state's untouched parts separate from the freshly created ones.
     """
-    r = sum(cnt for _, cnt in jet_groups)
     counts = lam.counts()
-    part_items = sorted(counts.items())
-    out: dict[tuple[Partition, Partition], SectorScalar] = {}
-    for ann in _submultisets(part_items, r):
-        size_a = sum(a for _, a in ann)
-        t = sum(k * a for k, a in ann)
-        ann_scalar = ONE
-        for k, a in ann:
-            ann_scalar = ann_scalar * (I * k) ** a * _falling(counts[k], a)
-        stripped = lam.remove(ann)
-        for creators in _bounded_partitions(t, r - size_a):
-            z = r - size_a - len(creators)
-            vals: dict[int, int] = {k: a for k, a in ann}
-            for c in creators:
-                vals[-c] = vals.get(-c, 0) + 1
-            if z:
-                vals[0] = z
-            w = _assignment_weight(jet_groups, tuple(sorted(vals.items())))
-            if not w:
-                continue
-            entry = SectorScalar.monomial(w * ann_scalar, size_a, z)
-            key = (stripped, Partition.make(creators))
-            acc = out.get(key)
-            out[key] = entry if acc is None else acc + entry
+    out = accumulate(
+        ((stripped, Partition.make(creators)), amp)
+        for stripped, creators, amp in _monomial_terms(
+            jet_groups,
+            lam,
+            lambda ann: math.prod(_falling(counts[k], a) for k, a in ann),
+        )
+    )
     items = [(s, c, amp) for (s, c), amp in out.items() if amp]
     items.sort(key=lambda kv: (kv[0].parts, kv[1].parts))
-    return tuple(items)
-
-
-@lru_cache(maxsize=None)
-def _bare_apply(
-    jet_groups: tuple[tuple[int, int], ...], lam: Partition
-) -> tuple[tuple[Partition, SectorScalar], ...]:
-    """Like _split_apply but with surviving and created parts merged."""
-    out: dict[Partition, SectorScalar] = {}
-    for stripped, created, amp in _split_apply(jet_groups, lam):
-        mu = stripped.add(created.parts)
-        acc = out.get(mu)
-        out[mu] = amp if acc is None else acc + amp
-    items = [(mu, amp) for mu, amp in out.items() if amp]
-    items.sort(key=lambda kv: kv[0].parts)
     return tuple(items)
 
 
@@ -518,19 +497,25 @@ def _apply_to_basis(f: DiffPoly, lam: Partition) -> FockVector:
     out: dict[Partition, SectorScalar] = {}
     for mono, c in f.terms():
         factor = SectorScalar.monomial(c, mono.hbar, 0)
-        for mu, amp in _bare_apply(mono.uexp, lam):
-            contrib = amp * factor
-            acc = out.get(mu)
-            out[mu] = contrib if acc is None else acc + contrib
+        accumulate(
+            (
+                (stripped.add(created.parts), amp * factor)
+                for stripped, created, amp in _split_apply(mono.uexp, lam)
+            ),
+            out,
+        )
     return FockVector(out)
 
 
 def apply_quantized(f: DiffPoly, v: FockVector) -> FockVector:
     """Act with the quantization of the density f on a Fock vector."""
-    out = FockVector.zero()
-    for lam, amp in v.entries_sorted():
-        out = out + _apply_to_basis(f, lam).scale(amp)
-    return out
+    out: dict[Partition, SectorScalar] = {}
+    for lam, amp in v._entries.items():
+        accumulate(
+            ((mu, a * amp) for mu, a in _apply_to_basis(f, lam)._entries.items()),
+            out,
+        )
+    return FockVector(out)
 
 
 def commutator_apply(f: DiffPoly, g: DiffPoly, v: FockVector) -> FockVector:
@@ -553,48 +538,27 @@ def _tracked_single(
     in the marked pool, which is how one isolates the part of an operator
     product with exactly one cross pairing.  Output parts are merged again.
     """
-    r = sum(cnt for _, cnt in jet_groups)
     p_counts = plain.counts()
     m_counts = marked.counts()
-    merged_counts: dict[int, int] = dict(p_counts)
-    for k, n in m_counts.items():
-        merged_counts[k] = merged_counts.get(k, 0) + n
-    merged = plain.add(marked.parts)
-    part_items = sorted(merged_counts.items())
-    out: dict[Partition, SectorScalar] = {}
-    for ann in _submultisets(part_items, r):
-        size_a = sum(a for _, a in ann)
-        t = sum(k * a for k, a in ann)
-        ways = 0
+
+    def ways(ann) -> int:
+        total = 0
         for kstar, astar in ann:
-            if m_counts.get(kstar, 0) == 0:
+            if kstar not in m_counts:
                 continue
             w = astar * _falling(p_counts.get(kstar, 0), astar - 1) * m_counts[kstar]
             for k, a in ann:
                 if k != kstar:
                     w *= _falling(p_counts.get(k, 0), a)
-            ways += w
-        if not ways:
-            continue
-        ann_scalar = ONE
-        for k, a in ann:
-            ann_scalar = ann_scalar * (I * k) ** a
-        ann_scalar = ann_scalar * ways
-        stripped = merged.remove(ann)
-        for creators in _bounded_partitions(t, r - size_a):
-            z = r - size_a - len(creators)
-            vals: dict[int, int] = {k: a for k, a in ann}
-            for c in creators:
-                vals[-c] = vals.get(-c, 0) + 1
-            if z:
-                vals[0] = z
-            w = _assignment_weight(jet_groups, tuple(sorted(vals.items())))
-            if not w:
-                continue
-            entry = SectorScalar.monomial(w * ann_scalar, size_a, z)
-            mu = stripped.add(creators)
-            acc = out.get(mu)
-            out[mu] = entry if acc is None else acc + entry
+            total += w
+        return total
+
+    out = accumulate(
+        (stripped.add(creators), amp)
+        for stripped, creators, amp in _monomial_terms(
+            jet_groups, plain.add(marked.parts), ways
+        )
+    )
     items = [(mu, amp) for mu, amp in out.items() if amp]
     items.sort(key=lambda kv: kv[0].parts)
     return tuple(items)
@@ -611,10 +575,15 @@ def _cross_once(f: DiffPoly, g: DiffPoly, lam: Partition) -> FockVector:
             stage = amp_g * g_factor
             for mono_f, cf in f.terms():
                 factor = stage * SectorScalar.monomial(cf, mono_f.hbar, 0)
-                for mu, amp_f in _tracked_single(mono_f.uexp, stripped, created):
-                    contrib = amp_f * factor
-                    acc = out.get(mu)
-                    out[mu] = contrib if acc is None else acc + contrib
+                accumulate(
+                    (
+                        (mu, amp_f * factor)
+                        for mu, amp_f in _tracked_single(
+                            mono_f.uexp, stripped, created
+                        )
+                    ),
+                    out,
+                )
     return FockVector(out)
 
 
@@ -722,8 +691,7 @@ def classical_consistency(
 
 
 def clear_fock_caches() -> None:
-    """Reset the per-(monomial, state) caches (for isolation in tests)."""
-    _bare_apply.cache_clear()
+    """Reset the per-(monomial, state) and per-(density, state) memos."""
     _split_apply.cache_clear()
     _tracked_single.cache_clear()
     _apply_to_basis.cache_clear()

@@ -33,6 +33,7 @@ from . import cache as _cache
 from .diffpoly import (
     DiffPoly,
     dx,
+    is_homogeneous,
     partial_u,
     scale_substitute,
     variational_derivative,
@@ -125,7 +126,11 @@ def wang_hamiltonian(d: int, cache_dir=None) -> HamiltonianRecord:
     directory = _cache.resolve_cache_dir(cache_dir)
     path = _cache.wang_path(directory, d)
     density = _cache.load_density(path, d)
-    if density is None:
+    # a parsed entry is trusted only with the bidegree and classical part of H_d
+    if density is None or not (
+        is_homogeneous(density, 0, d + 2)
+        and density.hbar_coefficient(0) == classical_density(d)
+    ):
         density = _expand_density(d)
         _cache.store_density(path, d, density)
     record = HamiltonianRecord(d, density, to_functional(density))

@@ -22,7 +22,7 @@ from itertools import permutations
 
 from .diffpoly import DiffMonomial, DiffPoly
 from .hierarchy import wang_hamiltonian
-from .scalars import MINUS_I, ONE, Scalar
+from .scalars import MINUS_I, ONE, Scalar, accumulate
 
 MPoly = dict[tuple[int, ...], Scalar]
 
@@ -72,31 +72,18 @@ def falling_convert(poly: MPoly, direction: str) -> MPoly:
         raise ValueError(f"unknown direction {direction!r}")
     out: MPoly = {}
     for exps, c in poly.items():
-        partial: dict[tuple[int, ...], Scalar] = {(): c}
+        partial: MPoly = {(): c}
         for e in exps:
             row = row_fn(e)
-            nxt: dict[tuple[int, ...], Scalar] = {}
-            for prefix, cc in partial.items():
-                for t, r in enumerate(row):
-                    if not r:
-                        continue
-                    key = prefix + (t,)
-                    add = cc * r
-                    acc = nxt.get(key)
-                    tot = add if acc is None else acc + add
-                    if tot:
-                        nxt[key] = tot
-                    elif acc is not None:
-                        del nxt[key]
-            partial = nxt
-        for key, cc in partial.items():
-            acc = out.get(key)
-            tot = cc if acc is None else acc + cc
-            if tot:
-                out[key] = tot
-            elif acc is not None:
-                del out[key]
-    return out
+            # distinct prefixes extended by distinct t: no key repeats
+            partial = {
+                prefix + (t,): cc * r
+                for prefix, cc in partial.items()
+                for t, r in enumerate(row)
+                if r
+            }
+        accumulate(partial.items(), out)
+    return {key: c for key, c in out.items() if c}
 
 
 @dataclass(frozen=True)
@@ -136,16 +123,14 @@ def extract_coeff_table(d: int, cache_dir=None) -> FallingCoeffTable:
 
 def reassemble_density(table: FallingCoeffTable) -> DiffPoly:
     """Rebuild the density from its coefficient table (round-trip check)."""
-    out = DiffPoly.zero()
+    pairs = []
     for (g, jets), K in table.entries.items():
-        exps: dict[int, int] = {}
-        for s in jets:
-            exps[s] = exps.get(s, 0) + 1
+        mono = DiffMonomial.make([(s, 1) for s in jets], g)
         c = K * MINUS_I**g
-        for e in exps.values():
+        for _, e in mono.uexp:
             c = c / math.factorial(e)
-        out = out + DiffPoly({DiffMonomial.make(exps, g): c})
-    return out
+        pairs.append((mono, c))
+    return DiffPoly(accumulate(pairs))
 
 
 @dataclass(frozen=True)
@@ -203,11 +188,12 @@ def assemble_polynomial(d: int, g: int, cache_dir=None) -> StrataPolynomial:
     if g < 0:
         raise ValueError("g must be >= 0")
     table = extract_coeff_table(d, cache_dir)
-    falling: MPoly = {}
-    for jets, K in table.for_genus(g).items():
-        for perm in set(permutations(jets)):
-            acc = falling.get(perm)
-            falling[perm] = K if acc is None else acc + K
+    falling = accumulate(
+        (perm, K)
+        for jets, K in table.for_genus(g).items()
+        for perm in set(permutations(jets))
+    )
+    falling = {perm: K for perm, K in falling.items() if K}
     power = falling_convert(falling, "to_power")
     return StrataPolynomial(
         d=d,

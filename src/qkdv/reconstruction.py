@@ -151,12 +151,7 @@ def _assemble_system(base_out, unknown_outs, hmax):
         return hmax is None or h <= hmax
 
     keys = set()
-    for lam, vec in base_out.items():
-        for mu, amp in vec.entries_sorted():
-            for (h, p), _ in amp.terms_sorted():
-                if within(h):
-                    keys.add((lam, mu, h, p))
-    for outs in unknown_outs:
+    for outs in (base_out, *unknown_outs):
         for lam, vec in outs.items():
             for mu, amp in vec.entries_sorted():
                 for (h, p), _ in amp.terms_sorted():

@@ -141,6 +141,19 @@ def as_scalar(x) -> Scalar:
     return s
 
 
+def accumulate(pairs, out=None) -> dict:
+    """Sum ``(key, value)`` pairs into ``out`` (a new dict when omitted).
+
+    Sums that cancel stay stored as zeros: the sparse types' constructors
+    drop them, so the no-stored-zero rule lives in one place.
+    """
+    out = {} if out is None else out
+    for key, value in pairs:
+        acc = out.get(key)
+        out[key] = value if acc is None else acc + value
+    return out
+
+
 ZERO = Scalar()
 ONE = Scalar(Fraction(1))
 I = Scalar(Fraction(0), Fraction(1))

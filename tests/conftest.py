@@ -5,12 +5,39 @@ that shrinking stays readable: a draw is a list of (coefficient, jets, hbar)
 triples rather than an opaque object.
 """
 
+import shutil
+import tempfile
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from qkdv import DiffPoly, Scalar
+from qkdv import DiffPoly, FockVector, Scalar
+from qkdv.cache import ENV_VAR
+
+
+def pytest_configure(config):
+    """Point the default density cache at a temp dir for the whole session.
+
+    A hook, not a fixture: test modules call wang_hamiltonian at import, so
+    the cache is already read during collection, before any fixture runs.
+    The suite thus never reads or writes the working tree's .qkdv-cache.
+    """
+    env = pytest.MonkeyPatch()
+    cache = tempfile.mkdtemp(prefix="qkdv-cache-")
+    env.setenv(ENV_VAR, cache)
+    config.add_cleanup(lambda: shutil.rmtree(cache, ignore_errors=True))
+    config.add_cleanup(env.undo)
+
+
+def stores_no_zero(x) -> bool:
+    """True when a DiffPoly, SectorScalar or FockVector stores no zero value."""
+    if isinstance(x, FockVector):
+        amps = [amp for _, amp in x.entries_sorted()]
+        return all(amps) and all(stores_no_zero(amp) for amp in amps)
+    terms = x.terms() if isinstance(x, DiffPoly) else x.terms_sorted()
+    return all(c for _, c in terms)
+
 
 small_fraction = st.builds(
     Fraction,

@@ -8,8 +8,11 @@ from pathlib import Path
 import pytest
 
 import qkdv
+from qkdv._version import ENGINE_VERSION
+from qkdv.cache import load_density
 from qkdv.cli import main
-from qkdv.hierarchy import clear_memory_memo
+from qkdv.diffpoly import to_json_dict
+from qkdv.hierarchy import clear_memory_memo, wang_hamiltonian
 
 
 def run(capsys, *args):
@@ -144,6 +147,35 @@ def test_verify_all_rebuilds_corrupt_cache(capsys, tmp_path):
     assert code == 0
     # the corrupt entry was replaced by a valid one
     json.loads((tmp_path / "wang" / "H_2.json").read_text())
+
+
+_ONE = {"c": {"re": "1", "im": "0"}, "hbar": 0}
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [],
+        {"d": 2, "engine": ENGINE_VERSION, "terms": [dict(_ONE, u=[1])]},
+        {"d": 2, "engine": ENGINE_VERSION, "terms": []},
+        {"d": 2, "engine": ENGINE_VERSION, "terms": [dict(_ONE, u={"0": 3})]},
+        {"d": 2, "engine": ENGINE_VERSION, **to_json_dict(wang_hamiltonian(3).density)},
+    ],
+    ids=["list", "u-is-a-list", "no-terms", "weight-3", "terms-of-H3"],
+)
+def test_hamiltonian_rebuilds_bad_cache_entry(capsys, tmp_path, payload):
+    # valid JSON of the wrong shape, or a parsed entry that cannot be H_2
+    _, expected, _ = run(capsys, "hamiltonian", "-d", "2")
+    reference = wang_hamiltonian(2).density
+    clear_memory_memo()
+    path = tmp_path / "wang" / "H_2.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(payload))
+    code, out, err = run(
+        capsys, "--cache-dir", str(tmp_path), "hamiltonian", "-d", "2"
+    )
+    assert (code, out, err) == (0, expected, "")
+    assert load_density(path, 2) == reference
 
 
 def test_cache_dir_flag_writes_there(capsys, tmp_path):

@@ -23,13 +23,15 @@ from qkdv import (
 )
 from qkdv.diffpoly import Bidegree, DiffMonomial
 
-from conftest import diff_polys, small_scalar
+from conftest import diff_polys, small_scalar, stores_no_zero
 
 u = DiffPoly.u
 
 
 def test_basic_construction():
     f = u(0, 2) + 3 * u(1)
+    # cancelling sums store nothing: the constructor drops zero coefficients
+    assert (f + (-f)).monomial_count() == 0
     assert f.monomial_count() == 2
     assert f.coefficient(DiffMonomial(((0, 2),), 0)) == Scalar.of(1)
     assert f.coefficient(DiffMonomial(((1, 1),), 0)) == Scalar.of(3)
@@ -44,16 +46,26 @@ def test_dx_on_generators():
     assert dx(u(0, 2)) == 2 * u(0) * u(1)
     assert dx(DiffPoly.const(7)).is_zero()
     assert dx(DiffPoly.hbar(2)).is_zero()
+    # the u1*u2 terms of the two summands cancel inside one dx
+    cancel = dx(u(1, 2) / 2 - u(0) * u(2))
+    assert cancel == -u(0) * u(3)
+    assert cancel.monomial_count() == 1
 
 
 @given(diff_polys, diff_polys)
 def test_dx_is_a_derivation(f, g):
-    assert dx(f * g) == dx(f) * g + f * dx(g)
+    lhs = dx(f * g)
+    assert lhs == dx(f) * g + f * dx(g)
+    assert stores_no_zero(lhs) and stores_no_zero(f * g)
+    assert (f * g - g * f).monomial_count() == 0
 
 
 @given(diff_polys, diff_polys, small_scalar)
 def test_dx_is_linear(f, g, c):
-    assert dx(f + g.scale(c)) == dx(f) + dx(g).scale(c)
+    h = f + g.scale(c)
+    assert dx(h) == dx(f) + dx(g).scale(c)
+    assert stores_no_zero(h) and stores_no_zero(dx(h))
+    assert all(stores_no_zero(partial_u(h, s)) for s in range(4))
 
 
 def test_partial_u_samples():
@@ -125,6 +137,17 @@ def test_json_is_deterministic(f):
     # keys are emitted in a fixed order, so equal polys give equal strings
     assert s == to_json(f + DiffPoly.zero())
     json.loads(s)  # well-formed
+
+
+def test_json_duplicate_terms_are_summed():
+    def term(re):
+        return {"c": {"re": re, "im": "0"}, "hbar": 1, "u": {"2": 1}}
+
+    one = {"c": {"re": "1", "im": "0"}, "hbar": 0, "u": {"0": 2}}
+    f = from_json_dict({"terms": [term("1/2"), one, term("-1/2")]})
+    assert f == u(0, 2) and f.monomial_count() == 1
+    half = DiffPoly.term(Scalar.of("1/2"), ((2, 1),), hbar=1)
+    assert from_json_dict({"terms": [term("1/3"), term("1/6")]}) == half
 
 
 def test_json_rational_fidelity():

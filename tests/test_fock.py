@@ -27,7 +27,7 @@ from qkdv.fock import clear_fock_caches, single_contraction_apply
 from qkdv.scalars import I, as_scalar
 from qkdv.verify import random_density
 
-from conftest import diff_polys, hbar_free_polys
+from conftest import diff_polys, hbar_free_polys, stores_no_zero
 
 u = DiffPoly.u
 
@@ -203,7 +203,11 @@ def test_linearity_in_the_state(f, lam, mu):
 @given(hbar_free_polys, hbar_free_polys, partitions)
 def test_commutator_antisymmetry(f, g, lam):
     v = FockVector.basis(lam)
-    assert commutator_apply(f, g, v) == -commutator_apply(g, f, v)
+    fg, gf = commutator_apply(f, g, v), commutator_apply(g, f, v)
+    assert fg == -gf
+    # sums that cancel store no zero state or amplitude
+    assert stores_no_zero(fg) and len(fg + gf) == 0
+    assert all((amp - amp).is_zero() for _, amp in fg.entries_sorted())
 
 
 @settings(max_examples=15, deadline=None)
