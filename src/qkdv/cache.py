@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 
 from ._version import ENGINE_VERSION
@@ -48,6 +49,6 @@ def store_density(path: Path, d: int, density: DiffPoly) -> None:
     payload = {"d": d, "engine": ENGINE_VERSION}
     payload.update(to_json_dict(density))
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(path.name + f".tmp{os.getpid()}")
+    tmp = path.with_name(path.name + f".tmp{os.getpid()}.{threading.get_ident()}")
     tmp.write_text(json.dumps(payload, separators=(",", ":")))
     os.replace(tmp, path)

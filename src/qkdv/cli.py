@@ -28,6 +28,7 @@ from .intersection import assemble_polynomial, as_rational_string
 from .reconstruction import (
     InconsistentError,
     UnderdeterminedError,
+    compare_with_wang,
     reconstruct_with_certificate,
 )
 from .render import (
@@ -117,9 +118,7 @@ def cmd_reconstruct(args) -> int:
         return 1
     payload = cert.to_json_dict()
     if args.compare:
-        from .reconstruction import compare_with_wang
-
-        matches = compare_with_wang(args.d, args.G, cache_dir=args.cache_dir)
+        matches = compare_with_wang(args.d, args.G, args.mmax, args.cache_dir)
         payload["matches_closed_form"] = matches
         _emit_json(payload)
         return 0 if matches else 1

@@ -396,11 +396,15 @@ def to_json_dict(f: DiffPoly) -> dict:
 
 
 def from_json_dict(d: dict) -> DiffPoly:
+    """Parse :func:`to_json_dict` output; numbers must be exact: str or int."""
     pairs = []
     for entry in d["terms"]:
-        c = Scalar(Fraction(entry["c"]["re"]), Fraction(entry["c"]["im"]))
-        uexp = {int(s): int(e) for s, e in entry["u"].items()}
-        pairs.append((DiffMonomial.make(uexp, int(entry["hbar"])), c))
+        c, uexp, hbar = entry["c"], entry["u"], entry["hbar"]
+        exact = {type(c["re"]), type(c["im"])} == {str}
+        if not exact or {type(hbar), *map(type, uexp.values())} != {int}:
+            raise TypeError(f"inexact or mistyped term {entry!r}")
+        mono = DiffMonomial.make({int(s): e for s, e in uexp.items()}, hbar)
+        pairs.append((mono, Scalar(Fraction(c["re"]), Fraction(c["im"]))))
     return DiffPoly(accumulate(pairs))
 
 

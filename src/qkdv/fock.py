@@ -33,18 +33,24 @@ of distributing that mode multiset over the monomial's positions.  The plain
 action and the slice with exactly one cross pairing differ only in how the
 ways are counted.  Results are memoized per (monomial, state) and per
 (density, state), so repeated commutator checks share almost all their work.
+
+Every i in an amplitude comes from the grading, one per unit of the jet
+weight J and one per annihilation, so the enumeration works in integers
+(memoized assignment counts) and applies the phase i^(J + a) last, with a
+the number of annihilations.  The API (SectorScalar, FockVector) stays Q(i).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 
 from .diffpoly import DiffPoly
 from .functionals import poisson_density
 from .hierarchy import wang_hamiltonian
-from .scalars import I, ONE, Scalar, accumulate, as_scalar
+from .scalars import Scalar, accumulate, as_scalar
 
 
 class CommutatorNonzero(Exception):
@@ -373,69 +379,37 @@ def _bounded_partitions(t: int, max_parts: int):
     yield from rec(t, t, max_parts)
 
 
-def _mode_symbol(v: int, j: int) -> Scalar:
-    """(i*v)^j, the Fourier symbol of the j-th derivative at mode v."""
-    if j == 0:
-        return ONE
-    if v == 0:
-        return Scalar()
-    return (I * v) ** j
-
-
-def _assignment_weight(
+@lru_cache(maxsize=None)
+def _assignment_count(
     groups: tuple[tuple[int, int], ...], values: tuple[tuple[int, int], ...]
-) -> Scalar:
-    """Sum over ordered tuples realizing a mode multiset.
+) -> int:
+    """Sum over ordered tuples realizing a mode multiset, without the i^j.
 
-    ``groups`` lists (jet index, slot count) for the monomial's positions;
-    ``values`` lists (mode value, count) with matching totals.  Returns
-    sum over all position assignments of prod (i*k)^j.
+    ``groups`` lists (jet index, free slots) for the monomial's positions;
+    ``values`` lists (mode value, count) with matching totals.  The first
+    value puts ``take`` copies into a group of jet j and ``cap`` slots in
+    comb(cap, take) ways with symbol v^(j*take), so a zero mode contributes
+    0 where j > 0; the rest is the same count on the slots left.  Every slot
+    is filled, so the dropped phase is i^J for the jet weight J.
     """
-    jets = [j for j, _ in groups]
-    caps = [r for _, r in groups]
-    ngroups = len(groups)
-    total = Scalar()
+    if not values:
+        return 1
+    (v, cnt), rest = values[0], values[1:]
 
-    def rec(vi: int, acc: Scalar):
-        nonlocal total
-        if vi == len(values):
-            total = total + acc
-            return
-        v, cnt = values[vi]
-        syms = [_mode_symbol(v, j) for j in jets]
+    def spread(gi: int, rem: int, left: tuple) -> int:
+        if gi == len(groups):
+            return 0 if rem else _assignment_count(left, rest)
+        j, cap = groups[gi]
+        total = 0
+        for take in range(min(rem, cap) + 1):
+            if take and j and not v:
+                break
+            total += math.comb(cap, take) * v ** (j * take) * spread(
+                gi + 1, rem - take, left + ((j, cap - take),)
+            )
+        return total
 
-        def dist(gi: int, rem: int, acc2: Scalar):
-            if gi == ngroups - 1:
-                take = rem
-                if take > caps[gi] or (take and not syms[gi]):
-                    return
-                caps[gi] -= take
-                rec(
-                    vi + 1,
-                    acc2 * syms[gi] ** take / math.factorial(take),
-                )
-                caps[gi] += take
-                return
-            for take in range(min(rem, caps[gi]) + 1):
-                if take and not syms[gi]:
-                    continue
-                caps[gi] -= take
-                dist(
-                    gi + 1,
-                    rem - take,
-                    acc2 * syms[gi] ** take / math.factorial(take),
-                )
-                caps[gi] += take
-
-        if ngroups:
-            dist(0, cnt, acc)
-        elif cnt == 0:
-            rec(vi + 1, acc)
-
-    rec(0, ONE)
-    for _, r in groups:
-        total = total * math.factorial(r)
-    return total
+    return spread(0, cnt, ())
 
 
 def _monomial_terms(jet_groups, pool: Partition, ways):
@@ -447,26 +421,27 @@ def _monomial_terms(jet_groups, pool: Partition, ways):
     hbar powers from annihilations and the p0 powers from zero modes.
     """
     r = sum(cnt for _, cnt in jet_groups)
+    jet_weight = sum(j * cnt for j, cnt in jet_groups)
     for ann in _submultisets(sorted(pool.counts().items()), r):
         n = ways(ann)
         if not n:
             continue
         size_a = sum(a for _, a in ann)
         t = sum(k * a for k, a in ann)
-        ann_scalar = ONE
-        for k, a in ann:
-            ann_scalar = ann_scalar * (I * k) ** a
-        ann_scalar = ann_scalar * n
+        # the phase i^(J + a): its sign goes into n, an odd power makes it imaginary
+        phase = (jet_weight + size_a) % 4
+        n *= math.prod(k**a for k, a in ann) * (1 if phase < 2 else -1)
         stripped = pool.remove(ann)
         for creators in _bounded_partitions(t, r - size_a):
             z = r - size_a - len(creators)
             vals = accumulate(((-c, 1) for c in creators), dict(ann))
             if z:
                 vals[0] = z
-            w = _assignment_weight(jet_groups, tuple(sorted(vals.items())))
-            if w:
-                amp = SectorScalar.monomial(w * ann_scalar, size_a, z)
-                yield stripped, creators, amp
+            count = _assignment_count(jet_groups, tuple(sorted(vals.items())))
+            if count:
+                c = Fraction(n * count)
+                amp = Scalar(im=c) if phase % 2 else Scalar(c)
+                yield stripped, creators, SectorScalar.monomial(amp, size_a, z)
 
 
 @lru_cache(maxsize=None)
@@ -691,7 +666,8 @@ def classical_consistency(
 
 
 def clear_fock_caches() -> None:
-    """Reset the per-(monomial, state) and per-(density, state) memos."""
+    """Reset the assignment-count, per-(monomial, state) and per-(density, state) memos."""
+    _assignment_count.cache_clear()
     _split_apply.cache_clear()
     _tracked_single.cache_clear()
     _apply_to_basis.cache_clear()

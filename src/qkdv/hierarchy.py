@@ -27,6 +27,7 @@ value, which the suite checks.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from . import cache as _cache
@@ -42,6 +43,9 @@ from .functionals import LocalFunctional, to_functional
 from .scalars import Scalar
 
 _memo: dict[int, "HamiltonianRecord"] = {}
+# (cache directory, d) pairs whose file was loaded, stored or checked
+_checked: set[tuple] = set()
+_store_failed = False
 
 
 @dataclass(frozen=True)
@@ -112,18 +116,19 @@ def classical_flow_rhs(n: int) -> DiffPoly:
 
 
 def wang_hamiltonian(d: int, cache_dir=None) -> HamiltonianRecord:
-    """The d-th quantum Hamiltonian, memoized in memory and on disk."""
+    """The d-th quantum Hamiltonian, memoized in memory and on disk.
+
+    A caller naming a cache directory also gets a sound file there: each
+    (directory, d) is checked once per process and rewritten when missing
+    or bad.  A failed write only warns, once per process.
+    """
+    global _store_failed
     if d < -1:
         raise ValueError("d must be >= -1")
     record = _memo.get(d)
-    if record is not None:
-        if cache_dir is not None:
-            # a caller naming a directory expects the file to land there
-            path = _cache.wang_path(_cache.resolve_cache_dir(cache_dir), d)
-            if not path.exists():
-                _cache.store_density(path, d, record.density)
-        return record
     directory = _cache.resolve_cache_dir(cache_dir)
+    if record is not None and (cache_dir is None or (directory, d) in _checked):
+        return record
     path = _cache.wang_path(directory, d)
     density = _cache.load_density(path, d)
     # a parsed entry is trusted only with the bidegree and classical part of H_d
@@ -131,10 +136,16 @@ def wang_hamiltonian(d: int, cache_dir=None) -> HamiltonianRecord:
         is_homogeneous(density, 0, d + 2)
         and density.hbar_coefficient(0) == classical_density(d)
     ):
-        density = _expand_density(d)
-        _cache.store_density(path, d, density)
-    record = HamiltonianRecord(d, density, to_functional(density))
-    _memo[d] = record
+        density = _expand_density(d) if record is None else record.density
+        try:
+            _cache.store_density(path, d, density)
+        except OSError as exc:
+            if not _store_failed:
+                print(f"qkdv: warning: cache not written: {exc}", file=sys.stderr)
+            _store_failed = True
+    if record is None:
+        record = _memo[d] = HamiltonianRecord(d, density, to_functional(density))
+    _checked.add((directory, d))
     return record
 
 
@@ -153,6 +164,7 @@ def _expand_density(d: int) -> DiffPoly:
 def clear_memory_memo() -> None:
     """Drop in-memory records (cache-transparency tests use this)."""
     _memo.clear()
+    _checked.clear()
 
 
 def check_vder_recursion(d: int, cache_dir=None) -> bool:

@@ -29,6 +29,8 @@ kernel collapses; the solution is then re-verified on two further momenta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from types import MappingProxyType
 
 from .diffpoly import DiffPoly, to_json_dict
 from .fock import FockVector, commutator_apply, partitions_of
@@ -89,14 +91,16 @@ def build_ansatz(d: int, G: int) -> Ansatz:
     return Ansatz(d, G, classical_density(d), blocks)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ReconstructionCertificate:
+    """Immutable, because every caller of one solve shares this object."""
+
     d: int
     G: int
-    ansatz_dimensions: dict[int, int]
+    ansatz_dimensions: MappingProxyType
     mmax_used: int
-    kernel_trace: list[tuple[int, int]]
-    verified_momenta: list[int]
+    kernel_trace: tuple[tuple[int, int], ...]
+    verified_momenta: tuple[int, ...]
     density: DiffPoly
     hbar_window: int | None
 
@@ -112,7 +116,7 @@ class ReconstructionCertificate:
                 {"mmax": m, "kernel_dim": k} for m, k in self.kernel_trace
             ],
             "unique": True,
-            "verified_momenta": self.verified_momenta,
+            "verified_momenta": list(self.verified_momenta),
             "hbar_window": "all" if self.hbar_window is None else self.hbar_window,
             "density": to_json_dict(self.density),
         }
@@ -173,6 +177,13 @@ def _assemble_system(base_out, unknown_outs, hmax):
 def reconstruct_with_certificate(
     d: int, G: int, mmax: int | None = None, cache_dir=None
 ) -> tuple[LocalFunctional, ReconstructionCertificate]:
+    """Solve for the density of index d through hbar^G, memoized per
+    (d, G, mmax, cache_dir) so a later comparison does not solve again."""
+    return _solve(d, G, mmax, cache_dir)
+
+
+@lru_cache(maxsize=None)
+def _solve(d: int, G: int, mmax: int | None, cache_dir):
     ansatz = build_ansatz(d, G)
     h1 = wang_hamiltonian(1, cache_dir).density
     unknowns = ansatz.unknown_densities()
@@ -218,7 +229,7 @@ def reconstruct_with_certificate(
         for x, b in zip(solution, unknowns):
             density = density + b * x
 
-    verified = list(range(used + 3))
+    verified = tuple(range(used + 3))
     for m in verified:
         for lam in partitions_of(m):
             if _nonzero_through(_commutator_with(h1, density, lam), hmax):
@@ -228,9 +239,9 @@ def reconstruct_with_certificate(
     certificate = ReconstructionCertificate(
         d=d,
         G=G,
-        ansatz_dimensions=ansatz.dimensions(),
+        ansatz_dimensions=MappingProxyType(ansatz.dimensions()),
         mmax_used=used,
-        kernel_trace=trace,
+        kernel_trace=tuple(trace),
         verified_momenta=verified,
         density=density,
         hbar_window=hmax,

@@ -1,5 +1,6 @@
 """Command-line interface: outputs, exit codes, cache behavior."""
 
+import errno
 import json
 import subprocess
 import sys
@@ -8,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import qkdv
+from qkdv import hierarchy, reconstruction
 from qkdv._version import ENGINE_VERSION
 from qkdv.cache import load_density
 from qkdv.cli import main
@@ -78,17 +80,24 @@ def test_commute_pass(capsys):
 
 
 def test_reconstruct_compare(capsys):
-    code, out, _ = run(capsys, "reconstruct", "-d", "2", "-G", "1", "--compare")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["matches_closed_form"] is True
-    assert doc["unique"] is True
-    assert doc["ansatz_dimensions"] == {"1": 1}
+    # with the automatic schedule, and with --mmax passed on to the comparison
+    for mmax in ([], ["--mmax", "6"]):
+        args = ("reconstruct", "-d", "2", "-G", "1", *mmax, "--compare")
+        code, out, _ = run(capsys, *args)
+        assert code == 0, mmax
+        doc = json.loads(out)
+        assert doc["matches_closed_form"] is True
+        assert doc["unique"] is True
+        assert doc["ansatz_dimensions"] == {"1": 1}
 
 
 def test_reconstruct_empty_ansatz(capsys):
+    reconstruction._solve.cache_clear()
     code, out, _ = run(capsys, "reconstruct", "-d", "1", "-G", "2", "--compare")
     assert code == 0
+    # --compare reuses the certificate's solve
+    info = reconstruction._solve.cache_info()
+    assert info.misses == 1 and info.hits >= 1
     doc = json.loads(out)
     assert doc["matches_closed_form"] is True
     assert doc["ansatz_dimensions"] == {"1": 0, "2": 0}
@@ -152,6 +161,15 @@ def test_verify_all_rebuilds_corrupt_cache(capsys, tmp_path):
 _ONE = {"c": {"re": "1", "im": "0"}, "hbar": 0}
 
 
+def _float_hbar_terms(d):
+    """The terms of H_d with each hbar coefficient's "im" a JSON number."""
+    payload = to_json_dict(wang_hamiltonian(d).density)
+    for term in payload["terms"]:
+        if term["hbar"]:
+            term["c"]["im"] = -0.1
+    return payload
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -160,8 +178,9 @@ _ONE = {"c": {"re": "1", "im": "0"}, "hbar": 0}
         {"d": 2, "engine": ENGINE_VERSION, "terms": []},
         {"d": 2, "engine": ENGINE_VERSION, "terms": [dict(_ONE, u={"0": 3})]},
         {"d": 2, "engine": ENGINE_VERSION, **to_json_dict(wang_hamiltonian(3).density)},
+        {"d": 2, "engine": ENGINE_VERSION, **_float_hbar_terms(2)},
     ],
-    ids=["list", "u-is-a-list", "no-terms", "weight-3", "terms-of-H3"],
+    ids=["list", "u-is-a-list", "no-terms", "weight-3", "terms-of-H3", "float-im"],
 )
 def test_hamiltonian_rebuilds_bad_cache_entry(capsys, tmp_path, payload):
     # valid JSON of the wrong shape, or a parsed entry that cannot be H_2
@@ -176,6 +195,27 @@ def test_hamiltonian_rebuilds_bad_cache_entry(capsys, tmp_path, payload):
     )
     assert (code, out, err) == (0, expected, "")
     assert load_density(path, 2) == reference
+
+
+def test_hamiltonian_survives_unwritable_cache(capsys, tmp_path, monkeypatch):
+    _, expected, _ = run(capsys, "hamiltonian", "-d", "2")
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.EROFS, "Read-only file system")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    monkeypatch.setattr(hierarchy, "_store_failed", False)
+    clear_memory_memo()
+    code, out, err = run(
+        capsys, "--cache-dir", str(tmp_path), "hamiltonian", "-d", "2"
+    )
+    assert (code, out) == (0, expected)
+    assert err.count("warning") == 1 and "Read-only file system" in err
+    # the warning is given once per process
+    clear_memory_memo()
+    code, _, err = run(capsys, "--cache-dir", str(tmp_path), "hamiltonian", "-d", "3")
+    assert (code, err) == (0, "")
+    assert not (tmp_path / "wang" / "H_2.json").exists()
 
 
 def test_cache_dir_flag_writes_there(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Free-boson realization: oracle checks, integrability, calibration."""
 
+import collections
 import itertools
 import random
 
@@ -23,7 +24,11 @@ from qkdv import (
     poisson_density,
     wang_hamiltonian,
 )
-from qkdv.fock import clear_fock_caches, single_contraction_apply
+from qkdv.fock import (
+    _assignment_count,
+    clear_fock_caches,
+    single_contraction_apply,
+)
 from qkdv.scalars import I, as_scalar
 from qkdv.verify import random_density
 
@@ -283,6 +288,41 @@ def test_functional_representatives_act_identically():
         for lam in partitions_of(m):
             v = FockVector.basis(lam)
             assert apply_quantized(h1, v) == apply_quantized(u(0, 3) / 6, v)
+
+
+def test_assignment_count_against_ordered_sum():
+    """i^J times the integer count equals the sum over distinct orderings.
+
+    Every jet-group shape with at most 3 groups and 4 slots, every mode
+    multiset from -3..3.  The reference multiplies the symbols (i*v)^j slot
+    by slot as Gaussian integers (re, im), which keeps it fast and exact.
+    """
+
+    def gauss(x: Scalar) -> tuple[int, int]:
+        return int(x.re), int(x.im)
+
+    symbol = {(v, j): gauss((I * v) ** j) for v in range(-3, 4) for j in range(4)}
+    for ngroups in (1, 2, 3):
+        for jets in itertools.combinations(range(4), ngroups):
+            for caps in itertools.product(range(1, 5), repeat=ngroups):
+                if sum(caps) > 4:
+                    continue
+                groups = tuple(zip(jets, caps))
+                slots = [j for j, r in groups for _ in range(r)]
+                phase = I ** sum(slots)
+                for modes in itertools.combinations_with_replacement(
+                    range(-3, 4), len(slots)
+                ):
+                    re = im = 0
+                    for order in set(itertools.permutations(modes)):
+                        a, b = 1, 0
+                        for v, j in zip(order, slots):
+                            c, d = symbol[v, j]
+                            a, b = a * c - b * d, a * d + b * c
+                        re, im = re + a, im + b
+                    values = tuple(sorted(collections.Counter(modes).items()))
+                    count = _assignment_count(groups, values)
+                    assert phase * count == Scalar.of(re, im), (groups, values)
 
 
 def test_cache_clearing_changes_nothing():

@@ -18,7 +18,8 @@ from qkdv import (
     variational_derivative,
     wang_hamiltonian,
 )
-from qkdv.cache import wang_path
+from qkdv import cache
+from qkdv.cache import load_density, wang_path
 from qkdv.hierarchy import clear_memory_memo
 
 u = DiffPoly.u
@@ -172,3 +173,17 @@ def test_cache_round_trip(tmp_cache):
     clear_memory_memo()
     fresh = wang_hamiltonian(3, cache_dir=tmp_cache)
     assert fresh.density == rec.density
+
+
+def test_memo_hit_repairs_bad_file_in_named_dir(tmp_cache, monkeypatch):
+    record = wang_hamiltonian(2)
+    path = wang_path(tmp_cache, 2)
+    path.parent.mkdir()
+    path.write_text("[]")
+    assert wang_hamiltonian(2, cache_dir=tmp_cache) is record
+    assert load_density(path, 2) == record.density
+    # the directory is checked once; later hits do not parse the file again
+    loads = []
+    monkeypatch.setattr(cache, "load_density", lambda *a: loads.append(a))
+    wang_hamiltonian(2, cache_dir=tmp_cache)
+    assert loads == []

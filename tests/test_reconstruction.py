@@ -1,5 +1,7 @@
 """Rebuilding Hamiltonians from commutation constraints alone."""
 
+from dataclasses import FrozenInstanceError
+
 import pytest
 
 from qkdv import (
@@ -53,6 +55,12 @@ def test_compare_with_wang(d, G):
 
 def test_certificate_contents():
     q, cert = reconstruct_with_certificate(2, 1)
+    # one solve is shared by every caller, so the certificate is frozen
+    assert reconstruct_with_certificate(2, 1)[1] is cert
+    with pytest.raises(FrozenInstanceError):
+        cert.mmax_used = 0
+    assert isinstance(cert.kernel_trace, tuple)
+    assert isinstance(cert.verified_momenta, tuple)
     assert cert.d == 2 and cert.G == 1
     assert cert.ansatz_dimensions == {1: 1}
     assert cert.kernel_trace[-1][1] == 0
