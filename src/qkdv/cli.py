@@ -68,8 +68,6 @@ def cmd_hamiltonian(args) -> int:
         print(f"H_{{{args.d}}} = {render_poly_latex(record.density)}")
     else:
         print(f"H_{args.d} = {render_poly_text(record.density)}")
-        if record.functional.rep != record.density:
-            print(f"normal form = {render_poly_text(record.functional.rep)}")
     return 0
 
 

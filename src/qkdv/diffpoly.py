@@ -29,9 +29,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
-from .scalars import MINUS_I, ONE, Scalar, accumulate, as_scalar
+from .scalars import MINUS_I, ONE, Scalar, SparseMap, accumulate, as_scalar
 
 
 class OddPowerError(ValueError):
@@ -112,25 +111,16 @@ class DiffMonomial:
 _ONE_MONO = DiffMonomial()
 
 
-class DiffPoly:
-    """An exact polynomial in the jet variables and hbar."""
+class DiffPoly(SparseMap):
+    """An exact polynomial in the jet variables and hbar.
 
-    __slots__ = ("_terms", "_hash")
+    Unlike the other sparse types it is hashable (the hash is cached) and
+    mixes with int, Fraction and Scalar constants in ``+``, ``-`` and ``==``.
+    """
 
-    def __init__(self, terms: dict[DiffMonomial, Scalar] | None = None):
-        clean: dict[DiffMonomial, Scalar] = {}
-        if terms:
-            for mono, c in terms.items():
-                if c:
-                    clean[mono] = c
-        self._terms = clean
-        self._hash: int | None = None
+    __slots__ = ("_hash",)
 
     # -- constructors --------------------------------------------------
-
-    @staticmethod
-    def zero() -> DiffPoly:
-        return DiffPoly()
 
     @staticmethod
     def const(c) -> DiffPoly:
@@ -152,10 +142,13 @@ class DiffPoly:
     def term(c, uexp=(), hbar: int = 0) -> DiffPoly:
         return DiffPoly({DiffMonomial.make(uexp, hbar): as_scalar(c)})
 
-    # -- views ----------------------------------------------------------
+    @staticmethod
+    def _coerce(x):
+        if isinstance(x, (int, Fraction, Scalar)):
+            return DiffPoly.const(x)
+        return NotImplemented
 
-    def terms(self) -> Iterator[tuple[DiffMonomial, Scalar]]:
-        return iter(self._terms.items())
+    # -- views ----------------------------------------------------------
 
     def terms_sorted(self) -> list[tuple[DiffMonomial, Scalar]]:
         return sorted(self._terms.items(), key=lambda kv: kv[0].sort_key())
@@ -166,12 +159,6 @@ class DiffPoly:
     def monomial_count(self) -> int:
         return len(self._terms)
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
     def max_jet(self) -> int:
         """Largest jet index appearing, -1 for jet-free polynomials."""
         top = -1
@@ -181,29 +168,6 @@ class DiffPoly:
         return top
 
     # -- arithmetic -----------------------------------------------------
-
-    def __add__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return DiffPoly(accumulate(other._terms.items(), dict(self._terms)))
-
-    __radd__ = __add__
-
-    def __neg__(self) -> DiffPoly:
-        return DiffPoly({m: -c for m, c in self._terms.items()})
-
-    def __sub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = _coerce_poly(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
@@ -237,12 +201,6 @@ class DiffPoly:
             n >>= 1
         return out
 
-    def scale(self, c) -> DiffPoly:
-        c = as_scalar(c)
-        if not c:
-            return DiffPoly()
-        return DiffPoly({m: v * c for m, v in self._terms.items()})
-
     # -- hbar bookkeeping ------------------------------------------------
 
     def hbar_coefficient(self, g: int) -> DiffPoly:
@@ -259,35 +217,19 @@ class DiffPoly:
     def max_hbar(self) -> int:
         return max((m.hbar for m in self._terms), default=0)
 
-    # -- equality ---------------------------------------------------------
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
-            other = DiffPoly.const(other)
-        if not isinstance(other, DiffPoly):
-            return NotImplemented
-        return self._terms == other._terms
+    # -- hashing and display -----------------------------------------------
 
     def __hash__(self) -> int:
-        if self._hash is None:
+        try:
+            return self._hash
+        except AttributeError:
             self._hash = hash(frozenset(self._terms.items()))
-        return self._hash
+            return self._hash
 
     def __str__(self) -> str:
         if not self._terms:
             return "0"
         return " + ".join(f"{c}*{m}" for m, c in self.terms_sorted())
-
-    def __repr__(self) -> str:
-        return f"DiffPoly({self})"
-
-
-def _coerce_poly(x):
-    if isinstance(x, DiffPoly):
-        return x
-    if isinstance(x, (int, Fraction, Scalar)):
-        return DiffPoly.const(x)
-    return NotImplemented
 
 
 # -- derivations ---------------------------------------------------------

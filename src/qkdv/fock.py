@@ -50,7 +50,7 @@ from functools import lru_cache
 from .diffpoly import DiffPoly
 from .functionals import poisson_density
 from .hierarchy import wang_hamiltonian
-from .scalars import Scalar, accumulate, as_scalar
+from .scalars import Scalar, SparseMap, accumulate, as_scalar
 
 
 class CommutatorNonzero(Exception):
@@ -159,17 +159,10 @@ def partitions_of(m: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in rec(m, m))
 
 
-class SectorScalar:
+class SectorScalar(SparseMap):
     """An exact polynomial in hbar and the central mode p0."""
 
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms: dict[tuple[int, int], Scalar] | None = None):
-        self._terms = {k: v for k, v in (terms or {}).items() if v}
-
-    @staticmethod
-    def zero() -> SectorScalar:
-        return SectorScalar()
+    __slots__ = ()
 
     @staticmethod
     def one() -> SectorScalar:
@@ -177,17 +170,7 @@ class SectorScalar:
 
     @staticmethod
     def monomial(c, hbar: int = 0, p0: int = 0) -> SectorScalar:
-        c = as_scalar(c)
-        return SectorScalar({(hbar, p0): c} if c else {})
-
-    def is_zero(self) -> bool:
-        return not self._terms
-
-    def __bool__(self) -> bool:
-        return bool(self._terms)
-
-    def terms_sorted(self) -> list[tuple[tuple[int, int], Scalar]]:
-        return sorted(self._terms.items())
+        return SectorScalar({(hbar, p0): as_scalar(c)})
 
     def coefficient(self, hbar: int, p0: int) -> Scalar:
         return self._terms.get((hbar, p0), Scalar())
@@ -199,15 +182,6 @@ class SectorScalar:
 
     def max_hbar(self) -> int:
         return max((h for h, _ in self._terms), default=0)
-
-    def __add__(self, other: SectorScalar) -> SectorScalar:
-        return SectorScalar(accumulate(other._terms.items(), dict(self._terms)))
-
-    def __neg__(self) -> SectorScalar:
-        return SectorScalar({k: -v for k, v in self._terms.items()})
-
-    def __sub__(self, other: SectorScalar) -> SectorScalar:
-        return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, (int, Scalar)):
@@ -224,19 +198,6 @@ class SectorScalar:
 
     __rmul__ = __mul__
 
-    def scale(self, c) -> SectorScalar:
-        c = as_scalar(c)
-        if not c:
-            return SectorScalar()
-        return SectorScalar({k: v * c for k, v in self._terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SectorScalar):
-            return NotImplemented
-        return self._terms == other._terms
-
-    __hash__ = None
-
     def __str__(self) -> str:
         if not self._terms:
             return "0"
@@ -250,23 +211,14 @@ class SectorScalar:
             bits.append("*".join(factors))
         return " + ".join(bits)
 
-    def __repr__(self) -> str:
-        return f"SectorScalar({self})"
 
+class FockVector(SparseMap):
+    """A finite combination of partition states with SectorScalar amplitudes.
 
-class FockVector:
-    """A finite combination of partition states with SectorScalar amplitudes."""
+    Terms are (Partition, SectorScalar) pairs; partitions sort by their parts.
+    """
 
-    __slots__ = ("_entries",)
-
-    def __init__(self, entries: dict[Partition, SectorScalar] | None = None):
-        self._entries = {
-            lam: amp for lam, amp in (entries or {}).items() if amp
-        }
-
-    @staticmethod
-    def zero() -> FockVector:
-        return FockVector()
+    __slots__ = ()
 
     @staticmethod
     def vacuum() -> FockVector:
@@ -276,66 +228,25 @@ class FockVector:
     def basis(lam: Partition) -> FockVector:
         return FockVector({lam: SectorScalar.one()})
 
+    @staticmethod
+    def _as_factor(c) -> SectorScalar:
+        return SectorScalar.monomial(c) if isinstance(c, (int, Scalar)) else c
+
     def coefficient(self, lam: Partition) -> SectorScalar:
-        return self._entries.get(lam, SectorScalar.zero())
-
-    def entries_sorted(self) -> list[tuple[Partition, SectorScalar]]:
-        return sorted(self._entries.items(), key=lambda kv: kv[0].parts)
-
-    def support(self) -> list[Partition]:
-        return sorted(self._entries, key=lambda p: p.parts)
+        return self._terms.get(lam, SectorScalar.zero())
 
     def momenta(self) -> set[int]:
-        return {lam.momentum for lam in self._entries}
-
-    def is_zero(self) -> bool:
-        return not self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __add__(self, other: FockVector) -> FockVector:
-        return FockVector(accumulate(other._entries.items(), dict(self._entries)))
-
-    def __neg__(self) -> FockVector:
-        return FockVector({lam: -amp for lam, amp in self._entries.items()})
-
-    def __sub__(self, other: FockVector) -> FockVector:
-        return self + (-other)
-
-    def scale(self, c) -> FockVector:
-        if isinstance(c, (int, Scalar)):
-            c = SectorScalar.monomial(c)
-        if c.is_zero():
-            return FockVector()
-        return FockVector(
-            {lam: amp * c for lam, amp in self._entries.items()}
-        )
+        return {lam.momentum for lam in self._terms}
 
     def hbar_coefficient(self, h: int) -> FockVector:
         return FockVector(
-            {
-                lam: amp.hbar_coefficient(h)
-                for lam, amp in self._entries.items()
-            }
+            {lam: amp.hbar_coefficient(h) for lam, amp in self._terms.items()}
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FockVector):
-            return NotImplemented
-        return self._entries == other._entries
-
-    __hash__ = None
 
     def __str__(self) -> str:
-        if not self._entries:
+        if not self._terms:
             return "0"
-        return " + ".join(
-            f"({amp})|{lam}>" for lam, amp in self.entries_sorted()
-        )
-
-    def __repr__(self) -> str:
-        return f"FockVector({self})"
+        return " + ".join(f"({amp})|{lam}>" for lam, amp in self.terms_sorted())
 
 
 def _falling(m: int, a: int) -> int:
@@ -485,9 +396,9 @@ def _apply_to_basis(f: DiffPoly, lam: Partition) -> FockVector:
 def apply_quantized(f: DiffPoly, v: FockVector) -> FockVector:
     """Act with the quantization of the density f on a Fock vector."""
     out: dict[Partition, SectorScalar] = {}
-    for lam, amp in v._entries.items():
+    for lam, amp in v.terms():
         accumulate(
-            ((mu, a * amp) for mu, a in _apply_to_basis(f, lam)._entries.items()),
+            ((mu, a * amp) for mu, a in _apply_to_basis(f, lam).terms()),
             out,
         )
     return FockVector(out)
@@ -618,7 +529,7 @@ def check_commute(d1: int, d2: int, mmax: int, cache_dir=None) -> CommuteReport:
             max_dim = max(max_dim, len(fv), len(gv))
             w = apply_quantized(f, gv) - apply_quantized(g, fv)
             if not w.is_zero():
-                mu, amp = w.entries_sorted()[0]
+                mu, amp = w.terms_sorted()[0]
                 raise CommutatorNonzero(d1, d2, lam, mu, amp)
     return CommuteReport(
         pairs=[PairStatus(d1, d2, mmax, "pass")],

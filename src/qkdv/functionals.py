@@ -24,11 +24,16 @@ from .scalars import Scalar, ZERO
 class LocalFunctional:
     """A density considered up to total derivatives and constants."""
 
-    __slots__ = ("rep",)
+    __slots__ = ("_rep",)
     __hash__ = None
 
     def __init__(self, rep: DiffPoly):
-        self.rep = rep
+        self._rep = rep
+
+    @property
+    def rep(self) -> DiffPoly:
+        """The representative density; read-only, as memoized results share it."""
+        return self._rep
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LocalFunctional):
@@ -149,12 +154,6 @@ def integrand_normal_form(f: DiffPoly) -> DiffPoly:
             vec[index[mono]] = c
         reduced, pivots = linalg.rref(_dx_image_rows(grade, weight, targets))
         vec = linalg.reduce_against(vec, reduced, pivots)
-        block = DiffPoly(
-            {
-                DiffMonomial(targets[i].uexp, h): c
-                for i, c in enumerate(vec)
-                if c
-            }
-        )
-        out = out + block
+        block = {DiffMonomial(t.uexp, h): c for t, c in zip(targets, vec)}
+        out = out + DiffPoly(block)
     return out

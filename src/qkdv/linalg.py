@@ -55,9 +55,11 @@ def rank(rows: list[Row]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """A basis of the right kernel, one vector per free column."""
-    reduced, pivots = rref(rows)
+def _kernel(reduced: list[Row], pivots: list[int], ncols: int) -> list[Row]:
+    """Right-kernel basis of the first ``ncols`` columns of a reduced form.
+
+    A pivot at column ``ncols`` or beyond (an augmented column) adds nothing.
+    """
     pivot_set = set(pivots)
     basis: list[Row] = []
     for free in range(ncols):
@@ -66,9 +68,15 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
         vec = [ZERO] * ncols
         vec[free] = ONE
         for row, piv in zip(reduced, pivots):
-            vec[piv] = -row[free]
+            if piv < ncols:
+                vec[piv] = -row[free]
         basis.append(vec)
     return basis
+
+
+def nullspace(rows: list[Row], ncols: int) -> list[Row]:
+    """A basis of the right kernel, one vector per free column."""
+    return _kernel(*rref(rows), ncols)
 
 
 def solve_affine(
@@ -80,18 +88,16 @@ def solve_affine(
     system is inconsistent.  The particular solution is the one with zero
     free coordinates, so it is deterministic.  ``ncols`` must be passed
     explicitly so that an empty row list still reports the full kernel.
+    One elimination of the augmented matrix yields both results.
     """
-    if not rows:
-        return [ZERO] * ncols, nullspace([], ncols)
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs)]
-    reduced, pivots = rref(augmented)
-    for row, piv in zip(reduced, pivots):
-        if piv == ncols:
-            return None, nullspace(rows, ncols)
+    reduced, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
+    kernel = _kernel(reduced, pivots, ncols)
+    if pivots and pivots[-1] == ncols:
+        return None, kernel
     x = [ZERO] * ncols
     for row, piv in zip(reduced, pivots):
         x[piv] = row[ncols]
-    return x, nullspace(rows, ncols)
+    return x, kernel
 
 
 def reduce_against(vec: Row, reduced: list[Row], pivots: list[int]) -> Row:

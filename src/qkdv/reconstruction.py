@@ -37,7 +37,7 @@ from .fock import FockVector, commutator_apply, partitions_of
 from .functionals import LocalFunctional, functional_basis, to_functional
 from .hierarchy import classical_density, wang_hamiltonian
 from .linalg import solve_affine
-from .scalars import Scalar
+from .scalars import ZERO, Scalar
 
 _SCHEDULE_SPAN = 8
 
@@ -137,40 +137,36 @@ def _commutator_with(h1: DiffPoly, density: DiffPoly, lam) -> FockVector:
 
 
 def _nonzero_through(vec: FockVector, hmax: int | None) -> bool:
-    for _, amp in vec.entries_sorted():
-        for (h, _), _c in amp.terms_sorted():
-            if hmax is None or h <= hmax:
-                return True
-    return False
+    return any(
+        hmax is None or h <= hmax
+        for _, amp in vec.terms()
+        for (h, _), _c in amp.terms()
+    )
 
 
 def _assemble_system(base_out, unknown_outs, hmax):
     """Rows of the exact linear system from commutator coefficients.
 
     Keys are (state, output partition, hbar power, p0 power); with a
-    finite hmax only hbar powers up to it contribute rows.
+    finite hmax only hbar powers up to it contribute rows.  One pass over
+    the outputs fills each key's row, with the base output in the last
+    column, which becomes the negated right-hand side.
     """
-
-    def within(h: int) -> bool:
-        return hmax is None or h <= hmax
-
-    keys = set()
-    for outs in (base_out, *unknown_outs):
+    n = len(unknown_outs)
+    table: dict = {}
+    for col, outs in enumerate((*unknown_outs, base_out)):
         for lam, vec in outs.items():
-            for mu, amp in vec.entries_sorted():
-                for (h, p), _ in amp.terms_sorted():
-                    if within(h):
-                        keys.add((lam, mu, h, p))
-    ordered = sorted(keys, key=lambda k: (k[0].parts, k[1].parts, k[2], k[3]))
-    rows = []
-    rhs = []
-    for lam, mu, h, p in ordered:
-        row = [
-            outs[lam].coefficient(mu).coefficient(h, p)
-            for outs in unknown_outs
-        ]
-        rows.append(row)
-        rhs.append(-base_out[lam].coefficient(mu).coefficient(h, p))
+            for mu, amp in vec.terms():
+                for (h, p), c in amp.terms():
+                    if hmax is None or h <= hmax:
+                        key = (lam, mu, h, p)
+                        row = table.get(key)
+                        if row is None:
+                            row = table[key] = [ZERO] * (n + 1)
+                        row[col] = c
+    ordered = sorted(table, key=lambda k: (k[0].parts, k[1].parts, k[2], k[3]))
+    rows = [table[k][:n] for k in ordered]
+    rhs = [-table[k][n] for k in ordered]
     return rows, rhs
 
 

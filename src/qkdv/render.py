@@ -4,7 +4,8 @@ Densities print with ``u``, ``u1``, ``u2``, ... and ``hbar``; the combination
 (-i*hbar)^g is kept grouped because every quantum coefficient is a real
 rational times that unit.  Multivariate stratum polynomials print over a
 common denominator with exponent tuples sorted descending, so identical
-inputs always produce identical bytes.
+inputs always produce identical bytes.  Each kind has one renderer; its
+``latex`` flag only changes how factors, products and quotients are spelled.
 """
 
 from __future__ import annotations
@@ -15,14 +16,21 @@ from .diffpoly import DiffMonomial, DiffPoly
 from .scalars import MINUS_I, Scalar
 
 
-def _u_factor_text(s: int, e: int) -> str:
-    name = "u" if s == 0 else f"u{s}"
-    return name if e == 1 else f"{name}^{e}"
+def _power(base: str, e: int, latex: bool) -> str:
+    if e == 1:
+        return base
+    return f"{base}^{{{e}}}" if latex else f"{base}^{e}"
 
 
-def _u_factor_latex(s: int, e: int) -> str:
-    name = "u" if s == 0 else f"u_{{{s}}}"
-    return name if e == 1 else f"{name}^{{{e}}}"
+def _signed_sum(pieces, spaced: bool) -> str:
+    """Join (negative, body) pairs as "a - b + c" when spaced, else "a-b+c"."""
+    out: list[str] = []
+    for negative, body in pieces:
+        sign = "-" if negative else ("+" if out else "")
+        if out and spaced:
+            sign = f" {sign} "
+        out.append(sign + body)
+    return "".join(out)
 
 
 def _term_pieces(mono: DiffMonomial, c: Scalar, latex: bool):
@@ -34,7 +42,8 @@ def _term_pieces(mono: DiffMonomial, c: Scalar, latex: bool):
         unit = r"(-i\hbar)" if latex else "(-i*hbar)"
         factors.append(unit if g == 1 else f"{unit}^{g}")
     for s, e in mono.uexp:
-        factors.append(_u_factor_latex(s, e) if latex else _u_factor_text(s, e))
+        name = "u" if s == 0 else (f"u_{{{s}}}" if latex else f"u{s}")
+        factors.append(_power(name, e, latex))
     if base.is_real():
         num = base.re.numerator
         den = base.re.denominator
@@ -48,52 +57,43 @@ def _term_pieces(mono: DiffMonomial, c: Scalar, latex: bool):
     return False, factors, 1
 
 
-def render_poly_text(f: DiffPoly) -> str:
+def _render_poly(f: DiffPoly, latex: bool) -> str:
     if f.is_zero():
         return "0"
-    chunks: list[str] = []
+    pieces = []
     for mono, c in f.terms_sorted():
-        negative, factors, den = _term_pieces(mono, c, latex=False)
-        body = "*".join(factors)
+        negative, factors, den = _term_pieces(mono, c, latex)
+        body = (r" \, " if latex else "*").join(factors)
         if den != 1:
-            body = f"{body}/{den}"
-        if not chunks:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append(("- " if negative else "+ ") + body)
-    return " ".join(chunks)
+            body = rf"\frac{{{body}}}{{{den}}}" if latex else f"{body}/{den}"
+        pieces.append((negative, body))
+    return _signed_sum(pieces, spaced=True)
+
+
+def render_poly_text(f: DiffPoly) -> str:
+    return _render_poly(f, latex=False)
 
 
 def render_poly_latex(f: DiffPoly) -> str:
-    if f.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for mono, c in f.terms_sorted():
-        negative, factors, den = _term_pieces(mono, c, latex=True)
-        body = r" \, ".join(factors) if len(factors) > 1 else factors[0]
-        if den != 1:
-            body = rf"\frac{{{body}}}{{{den}}}"
-        if not chunks:
-            chunks.append(("-" if negative else "") + body)
-        else:
-            chunks.append(("- " if negative else "+ ") + body)
-    return " ".join(chunks)
+    return _render_poly(f, latex=True)
 
 
-def _mpoly_term_text(exps: tuple[int, ...], coeff: int, names: list[str]) -> str:
+def _mpoly_term(exps: tuple[int, ...], mag: int, names: list[str], latex: bool) -> str:
+    sep = " " if latex else "*"
     factors = []
     for name, e in zip(names, exps):
         if e == 0:
             continue
-        factors.append(name if e == 1 else f"{name}^{e}")
-    mag = abs(coeff)
+        if latex and len(name) > 1:
+            name = f"m_{{{name[1:]}}}"
+        factors.append(_power(name, e, latex))
     if not factors:
         return str(mag)
-    body = "*".join(factors)
-    return body if mag == 1 else f"{mag}*{body}"
+    body = sep.join(factors)
+    return body if mag == 1 else f"{mag}{sep}{body}"
 
 
-def render_mpoly_text(poly, names: list[str]) -> str:
+def _render_mpoly(poly, names: list[str], latex: bool) -> str:
     """Common-denominator rendering of a rational-coefficient polynomial."""
     items = sorted(poly.items(), key=lambda kv: kv[0], reverse=True)
     items = [(e, c) for e, c in items if c]
@@ -108,49 +108,20 @@ def render_mpoly_text(poly, names: list[str]) -> str:
         whole = c.re * den
         assert whole.denominator == 1
         coeff = whole.numerator
-        term = _mpoly_term_text(exps, coeff, names)
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + term)
-        else:
-            pieces.append(("-" if coeff < 0 else "+") + term)
-    numerator = "".join(pieces)
+        pieces.append((coeff < 0, _mpoly_term(exps, abs(coeff), names, latex)))
+    numerator = _signed_sum(pieces, spaced=False)
     if den == 1:
         return numerator
+    if latex:
+        return rf"\frac{{{numerator}}}{{{den}}}"
     if len(items) > 1:
         numerator = f"({numerator})"
     return f"{numerator}/{den}"
 
 
-def _mpoly_term_latex(exps: tuple[int, ...], coeff: int, names: list[str]) -> str:
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 0:
-            continue
-        base = name if len(name) == 1 else f"m_{{{name[1:]}}}"
-        factors.append(base if e == 1 else f"{base}^{{{e}}}")
-    mag = abs(coeff)
-    if not factors:
-        return str(mag)
-    body = " ".join(factors)
-    return body if mag == 1 else f"{mag} {body}"
+def render_mpoly_text(poly, names: list[str]) -> str:
+    return _render_mpoly(poly, names, latex=False)
 
 
 def render_mpoly_latex(poly, names: list[str]) -> str:
-    items = sorted(poly.items(), key=lambda kv: kv[0], reverse=True)
-    items = [(e, c) for e, c in items if c]
-    if not items:
-        return "0"
-    den = lcm(*(c.re.denominator for _, c in items))
-    pieces = []
-    for exps, c in items:
-        whole = c.re * den
-        coeff = whole.numerator
-        term = _mpoly_term_latex(exps, coeff, names)
-        if not pieces:
-            pieces.append(("-" if coeff < 0 else "") + term)
-        else:
-            pieces.append(("-" if coeff < 0 else "+") + term)
-    numerator = "".join(pieces)
-    if den == 1:
-        return numerator
-    return rf"\frac{{{numerator}}}{{{den}}}"
+    return _render_mpoly(poly, names, latex=True)

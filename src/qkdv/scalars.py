@@ -5,6 +5,12 @@ arbitrary-precision rational components.  Components are
 :class:`fractions.Fraction`, so they are always reduced with a positive
 denominator; structural equality is value equality and hashing is safe.
 No floating point appears anywhere.
+
+:class:`SparseMap` is the one sparse coefficient type underneath densities
+(``DiffPoly``), Fock amplitudes (``SectorScalar``) and states
+(``FockVector``): a finite map from keys to coefficients that never stores a
+zero.  Its constructor is the one place zeros are dropped, so structural
+equality of the stored dicts is value equality.
 """
 
 from __future__ import annotations
@@ -144,14 +150,99 @@ def as_scalar(x) -> Scalar:
 def accumulate(pairs, out=None) -> dict:
     """Sum ``(key, value)`` pairs into ``out`` (a new dict when omitted).
 
-    Sums that cancel stay stored as zeros: the sparse types' constructors
-    drop them, so the no-stored-zero rule lives in one place.
+    Sums that cancel stay stored as zeros: the :class:`SparseMap`
+    constructor drops them, so the no-stored-zero rule lives in one place.
     """
     out = {} if out is None else out
     for key, value in pairs:
         acc = out.get(key)
         out[key] = value if acc is None else acc + value
     return out
+
+
+class SparseMap:
+    """A finite map from keys to nonzero coefficients, with linear arithmetic.
+
+    Subclasses fix the key and coefficient types and add their own
+    constructors, products and rendering.  Arithmetic between two different
+    sparse types is refused: ``==`` is False and ``+`` raises TypeError.
+    """
+
+    __slots__ = ("_terms",)
+    __hash__ = None
+
+    def __init__(self, terms: dict | None = None):
+        self._terms = {k: v for k, v in terms.items() if v} if terms else {}
+
+    @staticmethod
+    def _coerce(other):
+        """``other`` as this type, or NotImplemented; subclasses may widen it."""
+        return NotImplemented
+
+    # the coefficient type's coercion, used by scale
+    _as_factor = staticmethod(as_scalar)
+
+    @classmethod
+    def zero(cls):
+        return cls()
+
+    def is_zero(self) -> bool:
+        return not self._terms
+
+    def __bool__(self) -> bool:
+        return bool(self._terms)
+
+    def __len__(self) -> int:
+        return len(self._terms)
+
+    def terms(self):
+        """Iterate over (key, coefficient) pairs in storage order."""
+        return iter(self._terms.items())
+
+    def terms_sorted(self) -> list:
+        """(key, coefficient) pairs in ascending key order."""
+        return sorted(self._terms.items())
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return type(self)(accumulate(other._terms.items(), dict(self._terms)))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return type(self)({k: -v for k, v in self._terms.items()})
+
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self + (-other)
+
+    def __rsub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
+        return other + (-self)
+
+    def scale(self, c):
+        c = self._as_factor(c)
+        if not c:
+            return type(self)()
+        return type(self)({k: v * c for k, v in self._terms.items()})
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
+        return self._terms == other._terms
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self})"
 
 
 ZERO = Scalar()

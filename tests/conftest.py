@@ -33,10 +33,9 @@ def pytest_configure(config):
 def stores_no_zero(x) -> bool:
     """True when a DiffPoly, SectorScalar or FockVector stores no zero value."""
     if isinstance(x, FockVector):
-        amps = [amp for _, amp in x.entries_sorted()]
+        amps = [amp for _, amp in x.terms_sorted()]
         return all(amps) and all(stores_no_zero(amp) for amp in amps)
-    terms = x.terms() if isinstance(x, DiffPoly) else x.terms_sorted()
-    return all(c for _, c in terms)
+    return all(c for _, c in x.terms())
 
 
 small_fraction = st.builds(

@@ -212,7 +212,7 @@ def test_commutator_antisymmetry(f, g, lam):
     assert fg == -gf
     # sums that cancel store no zero state or amplitude
     assert stores_no_zero(fg) and len(fg + gf) == 0
-    assert all((amp - amp).is_zero() for _, amp in fg.entries_sorted())
+    assert all((amp - amp).is_zero() for _, amp in fg.terms_sorted())
 
 
 @settings(max_examples=15, deadline=None)

@@ -117,3 +117,15 @@ def test_solution_stable_under_more_sectors():
     q5 = reconstruct(2, 1, mmax=5)
     q7 = reconstruct(2, 1, mmax=7)
     assert q5 == q7
+
+
+def test_functional_rep_is_read_only():
+    # memoized results share their functional, so a write would leak to later calls
+    q = reconstruct(2, 1)
+    before = str(q.rep)
+    with pytest.raises(AttributeError):
+        q.rep = DiffPoly.zero()
+    with pytest.raises(AttributeError):
+        wang_hamiltonian(2).functional.rep = DiffPoly.zero()
+    assert str(reconstruct(2, 1).rep) == before != "0"
+    assert wang_hamiltonian(2).functional.rep == wang_hamiltonian(2).density

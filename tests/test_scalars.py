@@ -1,12 +1,13 @@
-"""Exact Gaussian-rational arithmetic."""
+"""Exact Gaussian-rational arithmetic and the shared sparse-map contract."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from qkdv import Scalar, as_scalar
-from qkdv.scalars import I, ONE
+from qkdv import DiffPoly, FockVector, Partition, Scalar, SectorScalar, as_scalar
+from qkdv.diffpoly import DiffMonomial
+from qkdv.scalars import I, ONE, SparseMap
 
 from conftest import small_scalar
 
@@ -72,3 +73,63 @@ def test_pow_matches_repeated_product(a):
         assert a**k == prod
         prod = prod * a
     assert a**-2 == (a * a).inverse()
+
+
+# One sample of each sparse type, a key it does not store, and its zero coefficient.
+SPARSE_SAMPLES = {
+    "DiffPoly": lambda: (
+        DiffPoly.term(3, {0: 2}) + DiffPoly.term(I, {1: 1}, hbar=1),
+        DiffMonomial.make({2: 1}),
+        Scalar(),
+    ),
+    "SectorScalar": lambda: (
+        SectorScalar.monomial(2, 1, 0) + SectorScalar.monomial(I, 0, 2),
+        (3, 3),
+        Scalar(),
+    ),
+    "FockVector": lambda: (
+        FockVector(
+            {
+                Partition.make([2, 1]): SectorScalar.monomial(1, 1, 0),
+                Partition(): SectorScalar.one(),
+            }
+        ),
+        Partition.make([3]),
+        SectorScalar.zero(),
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SPARSE_SAMPLES))
+def test_sparse_map_contract(kind):
+    x, fresh_key, zero = SPARSE_SAMPLES[kind]()
+    cls = type(x)
+    assert isinstance(x, SparseMap) and len(x) == 2
+    # cancellation leaves nothing stored
+    assert not (x - x) and (x - x) == cls.zero() and len(x - x) == 0
+    assert x + (-x) == cls.zero() and -(-x) == x
+    assert x.scale(2) == x + x and not x.scale(0)
+    # the constructor drops zeros
+    padded = cls({**dict(x.terms()), fresh_key: zero})
+    assert padded == x and len(padded) == 2 and fresh_key not in dict(padded.terms())
+    assert len(cls({fresh_key: zero})) == 0
+    # different sparse types never compare equal or add
+    for other_kind, sample in SPARSE_SAMPLES.items():
+        if other_kind == kind:
+            continue
+        other = sample()[0]
+        assert (x == other) is False and x != other
+        for op in (lambda a, b: a + b, lambda a, b: a - b):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
+    copy = cls(dict(x.terms()))
+    assert copy == x and copy is not x
+    if cls is DiffPoly:
+        assert hash(copy) == hash(x) and len({x, copy, x + 0}) == 1
+        assert x + 1 == x + DiffPoly.one() and 1 + x == x + 1
+        assert 1 - x == -(x - 1) and x - x == 0 and DiffPoly.zero() == 0
+    else:
+        with pytest.raises(TypeError):
+            hash(x)
