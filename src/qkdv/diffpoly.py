@@ -273,15 +273,9 @@ def variational_derivative(f: DiffPoly) -> DiffPoly:
     makes it the membership test for functional equality.
     """
     out = DiffPoly.zero()
-    for s in range(f.max_jet() + 1):
-        g = partial_u(f, s)
-        if not g:
-            continue
-        for _ in range(s):
-            g = dx(g)
-        if s % 2:
-            g = -g
-        out = out + g
+    # Horner in -dx: one dx per jet index
+    for s in range(f.max_jet(), -1, -1):
+        out = partial_u(f, s) - dx(out)
     return out
 
 

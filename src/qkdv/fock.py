@@ -147,16 +147,7 @@ def partitions_of(m: int) -> tuple[Partition, ...]:
     """All partitions of momentum m, in descending lexicographic order."""
     if m < 0:
         raise ValueError("momentum must be nonnegative")
-
-    def rec(remaining: int, max_part: int):
-        if remaining == 0:
-            yield ()
-            return
-        for k in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - k, k):
-                yield (k,) + rest
-
-    return tuple(Partition(p) for p in rec(m, m))
+    return tuple(Partition(p) for p in _bounded_partitions(m, m))
 
 
 class SectorScalar(SparseMap):
@@ -249,29 +240,15 @@ class FockVector(SparseMap):
         return " + ".join(f"({amp})|{lam}>" for lam, amp in self.terms_sorted())
 
 
-def _falling(m: int, a: int) -> int:
-    out = 1
-    for i in range(a):
-        out *= m - i
-    return out
-
-
 def _submultisets(items: list[tuple[int, int]], max_size: int):
     """Sub-multisets of {value: multiplicity} with at most max_size elements."""
-
-    def rec(i: int, budget: int):
-        if i == len(items):
-            yield ()
-            return
-        k, mult = items[i]
-        for take in range(min(mult, budget) + 1):
-            for rest in rec(i + 1, budget - take):
-                if take:
-                    yield ((k, take),) + rest
-                else:
-                    yield rest
-
-    yield from rec(0, max_size)
+    if not items:
+        yield ()
+        return
+    (k, mult), rest = items[0], items[1:]
+    for take in range(min(mult, max_size) + 1):
+        for tail in _submultisets(rest, max_size - take):
+            yield (((k, take),) if take else ()) + tail
 
 
 def _bounded_partitions(t: int, max_parts: int):
@@ -370,7 +347,7 @@ def _split_apply(
         for stripped, creators, amp in _monomial_terms(
             jet_groups,
             lam,
-            lambda ann: math.prod(_falling(counts[k], a) for k, a in ann),
+            lambda ann: math.prod(math.perm(counts[k], a) for k, a in ann),
         )
     )
     items = [(s, c, amp) for (s, c), amp in out.items() if amp]
@@ -432,10 +409,10 @@ def _tracked_single(
         for kstar, astar in ann:
             if kstar not in m_counts:
                 continue
-            w = astar * _falling(p_counts.get(kstar, 0), astar - 1) * m_counts[kstar]
+            w = astar * math.perm(p_counts.get(kstar, 0), astar - 1) * m_counts[kstar]
             for k, a in ann:
                 if k != kstar:
-                    w *= _falling(p_counts.get(k, 0), a)
+                    w *= math.perm(p_counts.get(k, 0), a)
             total += w
         return total
 

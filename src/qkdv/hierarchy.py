@@ -8,7 +8,24 @@ quantum Hamiltonian density is
 
 where scale is the jet-scaling substitution u_j -> lam^j u_j with
 lam^2 = -i*hbar, applied after all x-derivatives.  Only even total jet
-weights occur, so the substitution is polynomial in hbar.
+weights occur, so the substitution is polynomial in hbar.  This is Wang's
+definition; the suite keeps it, written out literally, as an oracle.
+
+The densities are computed from the double ramification side instead.  Let
+G(z) = exp(sum_k u_(2k) z^(2k+1) / (4^k (2k+1)!)), the trivial-CohFT
+generating series of the quantum DR hierarchy (Buryak-Rossi, "Recursion
+relations for double ramification hierarchies", Comm. Math. Phys. 342,
+2016), and Sh(x) = sinh(x/2)/(x/2).  Then
+
+    sum_d H_d z^(d+2) = scale( Sh(z dx) (G(z) - 1) ),
+
+so H_d = scale( sum_k dx^(2k) G_(d+2-2k) / (4^k (2k+1)!) ): the DR density
+scale(G_d) plus explicit total derivatives.  Derivation, with x = z dx:
+S(z) = exp(z (e^x - 1)/x u) and G(z) = exp(z Sh(x) u); the sum defining H_d
+is the z^(d+2) coefficient of scale((1 - e^-x)/x (S - 1)).  Since
+(e^x - 1)/x = e^(x/2) Sh(x), (1 - e^-x)/x = e^(-x/2) Sh(x), and the shift
+e^(x/2) is a ring automorphism fixing 1, S - 1 = e^(x/2) (G - 1) and the
+identity follows.
 
 Conventions pinned here (and verified by the suite):
 
@@ -40,7 +57,6 @@ from .diffpoly import (
     variational_derivative,
 )
 from .functionals import LocalFunctional, to_functional
-from .scalars import Scalar
 
 _memo: dict[int, "HamiltonianRecord"] = {}
 # (cache directory, d) pairs whose file was loaded, stored or checked
@@ -68,37 +84,39 @@ class HamiltonianRecord:
     functional: LocalFunctional
 
 
+def _exp_series(arg: list[DiffPoly]) -> list[DiffPoly]:
+    """exp(sum_j arg[j] z^j) through z^(len(arg)-1); arg[0] must be zero.
+
+    E' = A'E gives k E_k = sum_j j arg[j] E_(k-j), so no powers of the
+    exponent are formed.
+    """
+    out = [DiffPoly.one()]
+    for k in range(1, len(arg)):
+        terms = (arg[j] * out[k - j] * j for j in range(1, k + 1) if arg[j])
+        out.append(sum(terms, DiffPoly.zero()) / k)
+    return out
+
+
 def s_series(kmax: int) -> SSeries:
     """Expand exp(sum_j u_j z^{j+1}/(j+1)!) through z^kmax."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    zero = DiffPoly.zero()
-    # arg[k] = coefficient of z^k in the exponent; only j <= kmax-1 matter.
-    arg = [zero] * (kmax + 1)
-    for j in range(kmax):
-        arg[j + 1] = DiffPoly.u(j) / math.factorial(j + 1)
-    out = [zero] * (kmax + 1)
-    out[0] = DiffPoly.one()
-    # power[k] holds arg^p truncated; arg has z-valuation 1, so p <= kmax.
-    power = list(arg)
-    p = 1
-    while p <= kmax:
-        fact = math.factorial(p)
-        for k in range(p, kmax + 1):
-            if power[k]:
-                out[k] = out[k] + power[k] / fact
-        p += 1
-        if p > kmax:
-            break
-        nxt = [zero] * (kmax + 1)
-        for a in range(1, kmax):
-            if not power[a]:
-                continue
-            for b in range(1, kmax - a + 1):
-                if arg[b]:
-                    nxt[a + b] = nxt[a + b] + power[a] * arg[b]
-        power = nxt
-    return SSeries(kmax, tuple(out))
+    arg = [DiffPoly.zero()]
+    arg += [DiffPoly.u(j) / math.factorial(j + 1) for j in range(kmax)]
+    return SSeries(kmax, tuple(_exp_series(arg)))
+
+
+def _dr_coefficient(k: int) -> int:
+    """4^k (2k+1)!, the denominator of x^(2k) in sinh(x/2)/(x/2)."""
+    return 4**k * math.factorial(2 * k + 1)
+
+
+def _dr_series(kmax: int) -> list[DiffPoly]:
+    """G_0..G_kmax of G(z) = exp(sum_k u_(2k) z^(2k+1) / (4^k (2k+1)!))."""
+    arg = [DiffPoly.zero()] * (kmax + 1)
+    for k in range((kmax + 1) // 2):
+        arg[2 * k + 1] = DiffPoly.u(2 * k) / _dr_coefficient(k)
+    return _exp_series(arg)
 
 
 def classical_density(d: int) -> DiffPoly:
@@ -150,14 +168,11 @@ def wang_hamiltonian(d: int, cache_dir=None) -> HamiltonianRecord:
 
 
 def _expand_density(d: int) -> DiffPoly:
-    series = s_series(d + 2)
+    """scale(sum_k dx^(2k) G_(d+2-2k) / (4^k (2k+1)!)), Horner in dx^2."""
+    g = _dr_series(d + 2)
     acc = DiffPoly.zero()
-    for k in range(d + 2):
-        g = series.coeff(k + 1)
-        for _ in range(d + 1 - k):
-            g = dx(g)
-        sign = -1 if (d + 1 - k) % 2 else 1
-        acc = acc + g * Scalar.of(sign) / math.factorial(d - k + 2)
+    for k in range((d + 1) // 2, -1, -1):
+        acc = g[d + 2 - 2 * k] / _dr_coefficient(k) + dx(dx(acc))
     return scale_substitute(acc)
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
 
 from .diffpoly import DiffMonomial, DiffPoly
 from .hierarchy import wang_hamiltonian
@@ -133,6 +132,16 @@ def reassemble_density(table: FallingCoeffTable) -> DiffPoly:
     return DiffPoly(accumulate(pairs))
 
 
+def _distinct_permutations(items: tuple[int, ...]):
+    """Each distinct ordering of a multiset once: n!/prod e_j! of them, not n!."""
+    if not items:
+        yield ()
+    for x in sorted(set(items)):
+        i = items.index(x)
+        for tail in _distinct_permutations(items[:i] + items[i + 1 :]):
+            yield (x,) + tail
+
+
 @dataclass(frozen=True)
 class StrataPolynomial:
     """The predicted polynomial for one (d, g), in both bases."""
@@ -151,11 +160,11 @@ class StrataPolynomial:
 
     def is_symmetric(self) -> bool:
         coeffs = self.power_dict()
-        for exps, c in coeffs.items():
-            for perm in permutations(exps):
-                if coeffs.get(tuple(perm), Scalar()) != c:
-                    return False
-        return True
+        return all(
+            coeffs.get(perm, Scalar()) == c
+            for exps, c in coeffs.items()
+            for perm in _distinct_permutations(exps)
+        )
 
     def falling_degrees(self) -> set[int]:
         return {sum(exps) for exps, _ in self.falling}
@@ -191,7 +200,7 @@ def assemble_polynomial(d: int, g: int, cache_dir=None) -> StrataPolynomial:
     falling = accumulate(
         (perm, K)
         for jets, K in table.for_genus(g).items()
-        for perm in set(permutations(jets))
+        for perm in _distinct_permutations(jets)
     )
     falling = {perm: K for perm, K in falling.items() if K}
     power = falling_convert(falling, "to_power")

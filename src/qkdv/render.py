@@ -40,7 +40,9 @@ def _term_pieces(mono: DiffMonomial, c: Scalar, latex: bool):
     factors: list[str] = []
     if g:
         unit = r"(-i\hbar)" if latex else "(-i*hbar)"
-        factors.append(unit if g == 1 else f"{unit}^{g}")
+        # LaTeX needs braces around a multi-digit exponent only: (-i\hbar)^2
+        exponent = f"{{{g}}}" if latex and g > 9 else g
+        factors.append(unit if g == 1 else f"{unit}^{exponent}")
     for s, e in mono.uexp:
         name = "u" if s == 0 else (f"u_{{{s}}}" if latex else f"u{s}")
         factors.append(_power(name, e, latex))

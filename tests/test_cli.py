@@ -52,6 +52,14 @@ def test_hamiltonian_latex(capsys):
     assert r"(-i\hbar)^2" in out
 
 
+def test_hamiltonian_latex_braces_two_digit_hbar_exponents(capsys):
+    code, out, _ = run(capsys, "hamiltonian", "-d", "19", "--format", "latex")
+    assert code == 0
+    assert r"(-i\hbar)^{10}" in out
+    assert r"(-i\hbar)^9 " in out
+    assert r"(-i\hbar)^10" not in out
+
+
 def test_hamiltonian_rejects_bad_index(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hamiltonian", "-d", "-2"])

@@ -81,6 +81,25 @@ def test_variational_derivative_samples():
     assert variational_derivative(u(0, 3) / 6) == u(0, 2) / 2
 
 
+def literal_euler(f):
+    """sum_s (-dx)^s df/du_s, each power of -dx applied factor by factor."""
+    out = DiffPoly.zero()
+    for s in range(f.max_jet() + 1):
+        g = partial_u(f, s)
+        for _ in range(s):
+            g = -dx(g)
+        out = out + g
+    return out
+
+
+@given(diff_polys, st.integers(min_value=0, max_value=2))
+def test_variational_derivative_is_the_literal_euler_sum(f, n):
+    g = f * f
+    for _ in range(n):
+        g = g + dx(g) * f
+    assert variational_derivative(g) == literal_euler(g)
+
+
 @given(diff_polys)
 def test_variational_derivative_kills_total_derivatives(f):
     assert variational_derivative(dx(f)).is_zero()

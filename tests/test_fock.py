@@ -138,6 +138,17 @@ def test_partition_type():
     assert [len(partitions_of(m)) for m in range(7)] == [1, 1, 2, 3, 5, 7, 11]
 
 
+def test_partitions_of_is_every_partition_descending():
+    for m in range(9):
+        every = {
+            Partition.make(c)
+            for n in range(m + 1)
+            for c in itertools.combinations_with_replacement(range(1, m + 1), n)
+            if sum(c) == m
+        }
+        assert partitions_of(m) == tuple(sorted(every, reverse=True))
+
+
 def test_first_hamiltonian_on_small_states():
     h1 = wang_hamiltonian(1).density
     got = apply_quantized(h1, FockVector.vacuum())

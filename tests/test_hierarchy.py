@@ -7,20 +7,25 @@ import sympy
 
 from qkdv import (
     DiffPoly,
+    FockVector,
     Scalar,
+    apply_quantized,
     classical_density,
     classical_flow_rhs,
     dx,
     is_homogeneous,
+    partitions_of,
     s_partial_check,
     s_series,
+    scale_substitute,
     to_functional,
     variational_derivative,
     wang_hamiltonian,
 )
 from qkdv import cache
 from qkdv.cache import load_density, wang_path
-from qkdv.hierarchy import clear_memory_memo
+from qkdv.hierarchy import _exp_series, clear_memory_memo
+from qkdv.scalars import I
 
 u = DiffPoly.u
 MI = Scalar.of(0, -1)  # -i
@@ -187,3 +192,65 @@ def test_memo_hit_repairs_bad_file_in_named_dir(tmp_cache, monkeypatch):
     monkeypatch.setattr(cache, "load_density", lambda *a: loads.append(a))
     wang_hamiltonian(2, cache_dir=tmp_cache)
     assert loads == []
+
+
+# -- the paper's theorem: Wang's densities against the DR-side series --------
+
+
+def wang_literal(d):
+    """Wang's definition, term by term: a dx ladder over the S-series."""
+    series = s_series(d + 2)
+    acc = DiffPoly.zero()
+    for k in range(d + 2):
+        g = series.coeff(k + 1)
+        for _ in range(d + 1 - k):
+            g = dx(g)
+        acc = acc + g * (-1) ** (d + 1 - k) / math.factorial(d - k + 2)
+    return scale_substitute(acc)
+
+
+def dr_density(d, base=4, unit=MI):
+    """scale(G_d), G(z) = exp(sum_k u_(2k) z^(2k+1) / (base^k (2k+1)!)).
+
+    The scaling sends u_(2k) to (unit*hbar)^k u_(2k); the theorem has
+    base 4 and unit -i.
+    """
+    arg = [DiffPoly.zero()] * (d + 3)
+    for k in range((d + 3) // 2):
+        arg[2 * k + 1] = u(2 * k) / (base**k * math.factorial(2 * k + 1))
+    out = DiffPoly.zero()
+    for mono, c in _exp_series(arg)[d + 2].terms():
+        half = mono.jet_weight() // 2
+        out = out + DiffPoly.term(c * unit**half, mono.uexp, mono.hbar + half)
+    return out
+
+
+def test_production_density_is_wangs_literal_formula():
+    for d in range(-1, 13):
+        assert wang_hamiltonian(d).density == wang_literal(d), f"H_{d}"
+
+
+def test_dr_density_differs_by_a_total_derivative():
+    assert dr_density(-1) == wang_hamiltonian(-1).density
+    assert dr_density(0) == wang_hamiltonian(0).density
+    assert dr_density(2) == u(0, 4) / 24 + hterm(MI / 24, {0: 1, 2: 1}, 1)
+    for d in range(1, 13):
+        density = wang_hamiltonian(d).density
+        assert dr_density(d) != density
+        assert to_functional(dr_density(d)) == to_functional(density), f"d={d}"
+
+
+def test_dr_density_has_the_same_fock_operator():
+    for d in (4, 6):
+        dr, wang = dr_density(d), wang_hamiltonian(d).density
+        for m in range(7):
+            for lam in partitions_of(m):
+                v = FockVector.basis(lam)
+                assert apply_quantized(dr, v) == apply_quantized(wang, v)
+
+
+def test_dr_negative_controls_differ_in_functional():
+    for d in range(2, 13):
+        target = wang_hamiltonian(d).functional
+        assert to_functional(dr_density(d, unit=I)) != target, f"eps^2 = +i hbar, d={d}"
+        assert to_functional(dr_density(d, base=2)) != target, f"2^k, d={d}"

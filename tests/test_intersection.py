@@ -1,5 +1,6 @@
 """Predicted intersection polynomials and the coefficient inversion."""
 
+import time
 from itertools import permutations
 
 import sympy
@@ -15,6 +16,7 @@ from qkdv import (
     reassemble_density,
     wang_hamiltonian,
 )
+from qkdv.intersection import _distinct_permutations
 
 
 def s(x):
@@ -145,3 +147,36 @@ def test_admissible_genus_range():
         assemble_polynomial(0, 5)  # n = d+2-2g < 1
     with pytest.raises(ValueError):
         assemble_polynomial(2, -1)
+
+
+def test_distinct_permutations_match_itertools():
+    for items in [(), (0,), (1, 1), (0, 2, 0), (3, 1, 1, 0, 1), (2, 2, 0, 0, 1)]:
+        got = list(_distinct_permutations(items))
+        assert len(got) == len(set(got))
+        assert set(got) == set(permutations(items))
+
+
+def test_assembly_against_full_symmetrization():
+    """The falling table is the symmetrization over all n! orderings."""
+    for d in range(-1, 9):
+        table = extract_coeff_table(d)
+        for g in table.genera():
+            if d + 2 - 2 * g < 1:
+                continue
+            expected = {}
+            for jets, K in table.for_genus(g).items():
+                for perm in set(permutations(jets)):
+                    expected[perm] = expected.get(perm, Scalar()) + K
+            expected = {e: c for e, c in expected.items() if c}
+            assert assemble_polynomial(d, g).falling_dict() == expected
+
+
+def test_twelve_variables_within_budget():
+    """(d, g) = (14, 2) has n = 12; walking 12! orderings per monomial took minutes."""
+    wang_hamiltonian(14)
+    start = time.perf_counter()
+    sp = assemble_polynomial(14, 2)
+    assert time.perf_counter() - start < 10
+    assert sp.n == 12
+    assert len(sp.falling) == 1365  # C(15, 4) exponent tuples of degree 4
+    assert sp.falling_degrees() == {4}

@@ -1,0 +1,32 @@
+"""Source rules of the package: standard library only, and no floats."""
+
+import ast
+import sys
+from pathlib import Path
+
+SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "qkdv").glob("*.py"))
+
+
+def imported_roots(node):
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[0] for alias in node.names]
+    if isinstance(node, ast.ImportFrom) and node.level == 0:
+        return [node.module.split(".")[0]]
+    return []  # relative imports stay inside qkdv
+
+
+def test_stdlib_only_and_no_floats():
+    assert SOURCES
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            for root in imported_roots(node):
+                assert root in sys.stdlib_module_names or root == "qkdv", where
+            assert not (
+                isinstance(node, ast.Constant) and isinstance(node.value, float)
+            ), f"float literal at {where}"
+            assert not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "float"
+            ), f"float() call at {where}"
