@@ -2,8 +2,11 @@
 
 Everything stored here is derived data: deleting the cache directory changes
 nothing but runtime.  Entries are keyed by the index d and the engine
-version; a version bump invalidates them.  Writes go through a temp file and
-an atomic rename so a partially written entry is never observed.
+version; a version bump invalidates them.  Each entry carries the CRC-32 of
+its compact terms JSON, so an entry edited after it was written, or written
+without it, is rebuilt (hashlib's sha256 would load OpenSSL: 3.7 MB more
+peak memory per process).  Writes go through a temp file and an atomic
+rename so a partially written entry is never observed.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ from __future__ import annotations
 import json
 import os
 import threading
+import zlib
 from pathlib import Path
 
 from ._version import ENGINE_VERSION
@@ -33,11 +37,18 @@ def wang_path(cache_dir: Path, d: int) -> Path:
     return cache_dir / "wang" / f"H_{d}.json"
 
 
+def _checksum(terms) -> str:
+    compact = json.dumps(terms, separators=(",", ":"))
+    return f"{zlib.crc32(compact.encode()):08x}"
+
+
 def load_density(path: Path, d: int) -> DiffPoly | None:
-    """Parse a cached density; corruption, a wrong shape or a key mismatch give None."""
+    """Parse a cached density; None on corruption or a wrong shape, key or checksum."""
     try:
         payload = json.loads(path.read_text())
         if payload.get("d") != d or payload.get("engine") != ENGINE_VERSION:
+            return None
+        if payload.get("crc32") != _checksum(payload["terms"]):
             return None
         return from_json_dict(payload)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
@@ -48,6 +59,7 @@ def load_density(path: Path, d: int) -> DiffPoly | None:
 def store_density(path: Path, d: int, density: DiffPoly) -> None:
     payload = {"d": d, "engine": ENGINE_VERSION}
     payload.update(to_json_dict(density))
+    payload["crc32"] = _checksum(payload["terms"])
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}.{threading.get_ident()}")
     tmp.write_text(json.dumps(payload, separators=(",", ":")))

@@ -37,12 +37,17 @@ ways are counted.  Results are memoized per (monomial, state) and per
 Every i in an amplitude comes from the grading, one per unit of the jet
 weight J and one per annihilation, so the enumeration works in integers
 (memoized assignment counts) and applies the phase i^(J + a) last, with a
-the number of annihilations.  The API (SectorScalar, FockVector) stays Q(i).
+the number of annihilations.  Its rows stay flat, (parts, (hbar, p0),
+Scalar), with one row per key of a (monomial, state) pair: the untouched and
+created parts fix the annihilated multiset and the number of zero modes.
+``_realize`` is the one place amplitudes are grouped; each action feeds it
+one Scalar product per row, and only it builds SectorScalar and FockVector.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -118,11 +123,8 @@ class Partition:
     def momentum(self) -> int:
         return sum(self.parts)
 
-    def counts(self) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for k in self.parts:
-            out[k] = out.get(k, 0) + 1
-        return out
+    def counts(self) -> Counter[int]:
+        return Counter(self.parts)
 
     def remove(self, multiset) -> Partition:
         c = self.counts()
@@ -130,10 +132,7 @@ class Partition:
             c[k] -= a
             if c[k] < 0:
                 raise ValueError(f"cannot remove {a} parts {k} from {self}")
-        parts = []
-        for k, n in c.items():
-            parts.extend([k] * n)
-        return Partition(tuple(sorted(parts, reverse=True)))
+        return Partition(tuple(sorted(c.elements(), reverse=True)))
 
     def add(self, extra) -> Partition:
         return Partition(tuple(sorted(self.parts + tuple(extra), reverse=True)))
@@ -251,20 +250,15 @@ def _submultisets(items: list[tuple[int, int]], max_size: int):
             yield (((k, take),) if take else ()) + tail
 
 
-def _bounded_partitions(t: int, max_parts: int):
-    """Multisets of positive integers summing to t with at most max_parts parts."""
-
-    def rec(remaining: int, max_part: int, slots: int):
-        if remaining == 0:
-            yield ()
-            return
-        if slots == 0:
-            return
-        for k in range(min(remaining, max_part), 0, -1):
-            for rest in rec(remaining - k, k, slots - 1):
+def _bounded_partitions(t: int, max_parts: int, max_part: int | None = None):
+    """Descending tuples of positive integers summing to t, with at most
+    max_parts parts, each at most max_part (default t)."""
+    if t == 0:
+        yield ()
+    elif max_parts:
+        for k in range(min(t, max_part or t), 0, -1):
+            for rest in _bounded_partitions(t - k, max_parts - 1, k):
                 yield (k,) + rest
-
-    yield from rec(t, t, max_parts)
 
 
 @lru_cache(maxsize=None)
@@ -303,10 +297,12 @@ def _assignment_count(
 def _monomial_terms(jet_groups, pool: Partition, ways):
     """Every term of the bare monomial prod u_j acting on the parts in pool.
 
-    Yields (untouched parts, created modes, amplitude).  ``ways(ann)`` counts
-    the ways to draw the annihilated sub-multiset ``ann``, as (part, count)
-    pairs, from the state; a count of zero skips it.  Amplitudes carry the
-    hbar powers from annihilations and the p0 powers from zero modes.
+    Yields (untouched parts, created parts, (hbar, p0), amplitude) rows.
+    ``ways(ann)`` counts the ways to draw the annihilated sub-multiset
+    ``ann``, as (part, count) pairs, from the state; a count of zero skips
+    it.  The hbar power is the number of annihilations and the p0 power the
+    number of zero modes.  The untouched and created parts fix both, so no
+    two rows share a key, and every amplitude is a nonzero Scalar.
     """
     r = sum(cnt for _, cnt in jet_groups)
     jet_weight = sum(j * cnt for j, cnt in jet_groups)
@@ -329,56 +325,56 @@ def _monomial_terms(jet_groups, pool: Partition, ways):
             if count:
                 c = Fraction(n * count)
                 amp = Scalar(im=c) if phase % 2 else Scalar(c)
-                yield stripped, creators, SectorScalar.monomial(amp, size_a, z)
+                yield stripped, Partition(creators), (size_a, z), amp
+
+
+def _realize(terms) -> FockVector:
+    """Sum ((state, hbar, p0), amplitude) pairs into a FockVector.
+
+    The kernel's one grouping step: amplitudes stay flat Scalars until
+    here, and each state's SectorScalar is built once from its sums.
+    """
+    by_state: dict[Partition, dict] = {}
+    for (state, h, p), c in accumulate(terms).items():
+        by_state.setdefault(state, {})[h, p] = c
+    return FockVector({s: SectorScalar(amps) for s, amps in by_state.items()})
 
 
 @lru_cache(maxsize=None)
 def _split_apply(
     jet_groups: tuple[tuple[int, int], ...], lam: Partition
-) -> tuple[tuple[Partition, Partition, SectorScalar], ...]:
+) -> tuple[tuple[Partition, Partition, tuple[int, int], Scalar], ...]:
     """Apply the coefficient-free monomial prod u_j to a basis state.
 
-    Returns (surviving parts, created parts, amplitude) triples, keeping
-    the state's untouched parts separate from the freshly created ones.
+    Returns the rows of :func:`_monomial_terms`, keeping the state's
+    untouched parts separate from the freshly created ones.
     """
     counts = lam.counts()
-    out = accumulate(
-        ((stripped, Partition.make(creators)), amp)
-        for stripped, creators, amp in _monomial_terms(
-            jet_groups,
-            lam,
-            lambda ann: math.prod(math.perm(counts[k], a) for k, a in ann),
-        )
-    )
-    items = [(s, c, amp) for (s, c), amp in out.items() if amp]
-    items.sort(key=lambda kv: (kv[0].parts, kv[1].parts))
-    return tuple(items)
+
+    def ways(ann) -> int:
+        return math.prod(math.perm(counts[k], a) for k, a in ann)
+
+    return tuple(_monomial_terms(jet_groups, lam, ways))
 
 
 @lru_cache(maxsize=None)
 def _apply_to_basis(f: DiffPoly, lam: Partition) -> FockVector:
-    out: dict[Partition, SectorScalar] = {}
-    for mono, c in f.terms():
-        factor = SectorScalar.monomial(c, mono.hbar, 0)
-        accumulate(
-            (
-                (stripped.add(created.parts), amp * factor)
-                for stripped, created, amp in _split_apply(mono.uexp, lam)
-            ),
-            out,
-        )
-    return FockVector(out)
+    return _realize(
+        ((stripped.add(created.parts), h + mono.hbar, p), amp * c)
+        for mono, c in f.terms()
+        for stripped, created, (h, p), amp in _split_apply(mono.uexp, lam)
+    )
 
 
 def apply_quantized(f: DiffPoly, v: FockVector) -> FockVector:
     """Act with the quantization of the density f on a Fock vector."""
-    out: dict[Partition, SectorScalar] = {}
-    for lam, amp in v.terms():
-        accumulate(
-            ((mu, a * amp) for mu, a in _apply_to_basis(f, lam).terms()),
-            out,
-        )
-    return FockVector(out)
+    return _realize(
+        ((mu, h1 + h2, p1 + p2), c1 * c2)
+        for lam, amp in v.terms()
+        for (h1, p1), c1 in amp.terms()
+        for mu, image in _apply_to_basis(f, lam).terms()
+        for (h2, p2), c2 in image.terms()
+    )
 
 
 def commutator_apply(f: DiffPoly, g: DiffPoly, v: FockVector) -> FockVector:
@@ -393,61 +389,52 @@ def _tracked_single(
     jet_groups: tuple[tuple[int, int], ...],
     plain: Partition,
     marked: Partition,
-) -> tuple[tuple[Partition, SectorScalar], ...]:
+) -> tuple[tuple[Partition, tuple[int, int], Scalar], ...]:
     """Apply a bare monomial, keeping terms that hit the marked pool once.
 
     The state consists of two pools of parts.  Annihilators may draw from
     either; this keeps exactly the terms where a single annihilation lands
     in the marked pool, which is how one isolates the part of an operator
-    product with exactly one cross pairing.  Output parts are merged again.
+    product with exactly one cross pairing.  Output parts are merged again,
+    so rows are (state, (hbar, p0), amplitude) and several may share a key.
     """
     p_counts = plain.counts()
     m_counts = marked.counts()
 
     def ways(ann) -> int:
-        total = 0
-        for kstar, astar in ann:
-            if kstar not in m_counts:
-                continue
-            w = astar * math.perm(p_counts.get(kstar, 0), astar - 1) * m_counts[kstar]
-            for k, a in ann:
-                if k != kstar:
-                    w *= math.perm(p_counts.get(k, 0), a)
-            total += w
-        return total
-
-    out = accumulate(
-        (stripped.add(creators), amp)
-        for stripped, creators, amp in _monomial_terms(
-            jet_groups, plain.add(marked.parts), ways
+        # exactly one marked part: one of kstar's astar draws, m_counts[kstar]
+        # choices; every other draw comes from the plain pool
+        return sum(
+            astar * m_counts[kstar] * math.perm(p_counts[kstar], astar - 1)
+            * math.prod(math.perm(p_counts[k], a) for k, a in ann if k != kstar)
+            for kstar, astar in ann
         )
+
+    pool = plain.add(marked.parts)
+    return tuple(
+        (stripped.add(created.parts), hp, amp)
+        for stripped, created, hp, amp in _monomial_terms(jet_groups, pool, ways)
     )
-    items = [(mu, amp) for mu, amp in out.items() if amp]
-    items.sort(key=lambda kv: kv[0].parts)
-    return tuple(items)
 
 
 def _cross_once(f: DiffPoly, g: DiffPoly, lam: Partition) -> FockVector:
     """Terms of f-hat (g-hat |lam>) where f pairs with g's output exactly once."""
-    out: dict[Partition, SectorScalar] = {}
-    for mono_g, cg in g.terms():
-        g_factor = SectorScalar.monomial(cg, mono_g.hbar, 0)
-        for stripped, created, amp_g in _split_apply(mono_g.uexp, lam):
-            if not created.parts:
-                continue
-            stage = amp_g * g_factor
-            for mono_f, cf in f.terms():
-                factor = stage * SectorScalar.monomial(cf, mono_f.hbar, 0)
-                accumulate(
-                    (
-                        (mu, amp_f * factor)
-                        for mu, amp_f in _tracked_single(
-                            mono_f.uexp, stripped, created
-                        )
-                    ),
-                    out,
-                )
-    return FockVector(out)
+
+    def terms():
+        for mono_g, cg in g.terms():
+            for stripped, created, (hg, pg), amp_g in _split_apply(mono_g.uexp, lam):
+                if not created.parts:
+                    continue
+                stage = amp_g * cg
+                for mono_f, cf in f.terms():
+                    factor = stage * cf
+                    h0 = hg + mono_g.hbar + mono_f.hbar
+                    for mu, (h, p), amp_f in _tracked_single(
+                        mono_f.uexp, stripped, created
+                    ):
+                        yield (mu, h0 + h, pg + p), amp_f * factor
+
+    return _realize(terms())
 
 
 def single_contraction_apply(
@@ -500,9 +487,8 @@ def check_commute(d1: int, d2: int, mmax: int, cache_dir=None) -> CommuteReport:
     max_dim = 0
     for m in range(mmax + 1):
         for lam in partitions_of(m):
-            v = FockVector.basis(lam)
-            fv = apply_quantized(f, v)
-            gv = apply_quantized(g, v)
+            fv = _apply_to_basis(f, lam)
+            gv = _apply_to_basis(g, lam)
             max_dim = max(max_dim, len(fv), len(gv))
             w = apply_quantized(f, gv) - apply_quantized(g, fv)
             if not w.is_zero():

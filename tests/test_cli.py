@@ -4,6 +4,7 @@ import errno
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ import pytest
 import qkdv
 from qkdv import hierarchy, reconstruction
 from qkdv._version import ENGINE_VERSION
-from qkdv.cache import load_density
+from qkdv.cache import load_density, store_density
 from qkdv.cli import main
 from qkdv.diffpoly import to_json_dict
 from qkdv.hierarchy import clear_memory_memo, wang_hamiltonian
@@ -178,6 +179,18 @@ def _float_hbar_terms(d):
     return payload
 
 
+def _edited_after_write(d):
+    """H_d as the cache writes it, then each hbar coefficient set to -i/7."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / f"H_{d}.json"
+        store_density(path, d, wang_hamiltonian(d).density)
+        payload = json.loads(path.read_text())
+    for term in payload["terms"]:
+        if term["hbar"]:
+            term["c"] = {"re": "0", "im": "-1/7"}
+    return payload
+
+
 @pytest.mark.parametrize(
     "payload",
     [
@@ -187,8 +200,17 @@ def _float_hbar_terms(d):
         {"d": 2, "engine": ENGINE_VERSION, "terms": [dict(_ONE, u={"0": 3})]},
         {"d": 2, "engine": ENGINE_VERSION, **to_json_dict(wang_hamiltonian(3).density)},
         {"d": 2, "engine": ENGINE_VERSION, **_float_hbar_terms(2)},
+        _edited_after_write(2),
     ],
-    ids=["list", "u-is-a-list", "no-terms", "weight-3", "terms-of-H3", "float-im"],
+    ids=[
+        "list",
+        "u-is-a-list",
+        "no-terms",
+        "weight-3",
+        "terms-of-H3",
+        "float-im",
+        "edited-after-write",
+    ],
 )
 def test_hamiltonian_rebuilds_bad_cache_entry(capsys, tmp_path, payload):
     # valid JSON of the wrong shape, or a parsed entry that cannot be H_2

@@ -26,6 +26,7 @@ from qkdv import (
 )
 from qkdv.fock import (
     _assignment_count,
+    _split_apply,
     clear_fock_caches,
     single_contraction_apply,
 )
@@ -342,3 +343,21 @@ def test_cache_clearing_changes_nothing():
     before = apply_quantized(h2, FockVector.basis(lam))
     clear_fock_caches()
     assert apply_quantized(h2, FockVector.basis(lam)) == before
+
+
+def test_split_apply_has_one_row_per_key():
+    """The untouched and created parts fix the annihilated multiset (hbar
+    power) and the zero-mode count (p0 power), so the rows of one
+    (monomial, state) pair need no grouping before they are realized."""
+    for d in range(-1, 7):
+        for mono, _ in wang_hamiltonian(d).density.terms():
+            r = sum(e for _, e in mono.uexp)
+            for m in range(6):
+                for lam in partitions_of(m):
+                    rows = _split_apply(mono.uexp, lam)
+                    keys = {(kept, created) for kept, created, _, _ in rows}
+                    assert len(keys) == len(rows)
+                    for kept, created, (h, p), amp in rows:
+                        assert amp
+                        assert h == len(lam.parts) - len(kept.parts)
+                        assert p == r - h - len(created.parts)

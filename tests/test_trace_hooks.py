@@ -1,0 +1,38 @@
+"""The benchmark tracer's hooks name real qkdv functions.
+
+``perfbench/traced_job.py`` wraps the functions in ``SPANNED`` and reads the
+``lru_cache`` statistics of the Fock memos in ``MEMOS``.  A refactor that
+renames or inlines one of them would break ``--trace 1`` only when the
+benchmark runs; this catches it in the test suite.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from qkdv import fock
+
+TRACED_JOB = Path(__file__).resolve().parent.parent / "perfbench" / "traced_job.py"
+
+
+def load_traced_job():
+    spec = importlib.util.spec_from_file_location("traced_job", TRACED_JOB)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_spanned_functions_resolve_in_qkdv():
+    traced = load_traced_job()
+    assert traced.SPANNED
+    for mod_name, attr, _span in traced.SPANNED:
+        module = importlib.import_module(f"qkdv.{mod_name}")
+        assert callable(getattr(module, attr, None)), f"qkdv.{mod_name}.{attr}"
+
+
+def test_memos_are_fock_lru_caches():
+    traced = load_traced_job()
+    assert traced.MEMOS
+    for prefix, attr in traced.MEMOS.items():
+        memo = getattr(fock, attr, None)
+        assert callable(getattr(memo, "cache_info", None)), f"{prefix}: fock.{attr}"
