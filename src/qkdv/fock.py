@@ -530,7 +530,7 @@ def classical_consistency(
     for m in range(mmax + 1):
         for lam in partitions_of(m):
             lhs = single_contraction_apply(f, g, lam)
-            rhs = apply_quantized(p, FockVector.basis(lam)).scale(hbar)
+            rhs = _apply_to_basis(p, lam).scale(hbar)
             if lhs != rhs:
                 raise MismatchError(f, g, lam, lhs, rhs)
     return ConsistencyReport(

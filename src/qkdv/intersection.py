@@ -6,7 +6,9 @@ number K = c * prod_j a_j! is the coefficient, in the falling-factorial
 basis, of the degree-2g polynomial attached to the (g, n)-stratum family.
 Assembling all jet tuples of a fixed g (symmetrized over orderings) yields
 that polynomial in n variables; converting falling factorials to ordinary
-powers is a per-variable Stirling transform.
+powers is a per-variable Stirling transform, so each power-basis term of a
+monomial is its coefficient times one product of per-variable Stirling
+numbers.
 
 The structural constraint n = d + 2 - 2g per monomial is checked during
 extraction, and reassembling the density from the table must reproduce it
@@ -18,6 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 
 from .diffpoly import DiffMonomial, DiffPoly
 from .hierarchy import wang_hamiltonian
@@ -61,7 +64,8 @@ def falling_convert(poly: MPoly, direction: str) -> MPoly:
 
     ``direction`` is "to_power" (input coefficients are falling-basis) or
     "to_falling" (input is power-basis); the transform acts variable by
-    variable.
+    variable, so each output term of a monomial is one product of
+    per-variable Stirling numbers.
     """
     if direction == "to_power":
         row_fn = _stirling_first_row
@@ -71,17 +75,15 @@ def falling_convert(poly: MPoly, direction: str) -> MPoly:
         raise ValueError(f"unknown direction {direction!r}")
     out: MPoly = {}
     for exps, c in poly.items():
-        partial: MPoly = {(): c}
-        for e in exps:
-            row = row_fn(e)
-            # distinct prefixes extended by distinct t: no key repeats
-            partial = {
-                prefix + (t,): cc * r
-                for prefix, cc in partial.items()
-                for t, r in enumerate(row)
-                if r
-            }
-        accumulate(partial.items(), out)
+        rows = [[(t, r) for t, r in enumerate(row_fn(e)) if r] for e in exps]
+        accumulate(
+            (
+                (tuple([t for t, _ in choice]), c * math.prod([r for _, r in choice]))
+                for choice in product(*rows)
+            ),
+            out,
+        )
+    # Stirling signs cancel across monomials
     return {key: c for key, c in out.items() if c}
 
 
@@ -112,11 +114,8 @@ def extract_coeff_table(d: int, cache_dir=None) -> FallingCoeffTable:
                 f"monomial {mono} of H_{d} has {n} factors, expected "
                 f"{d + 2 - 2 * g} at hbar^{g}"
             )
-        base = c / MINUS_I**g
-        K = base
-        for _, e in mono.uexp:
-            K = K * math.factorial(e)
-        entries[(g, jets)] = K
+        multiplicity = math.prod([math.factorial(e) for _, e in mono.uexp])
+        entries[(g, jets)] = c / MINUS_I**g * multiplicity
     return FallingCoeffTable(d, entries)
 
 
@@ -125,10 +124,8 @@ def reassemble_density(table: FallingCoeffTable) -> DiffPoly:
     pairs = []
     for (g, jets), K in table.entries.items():
         mono = DiffMonomial.make([(s, 1) for s in jets], g)
-        c = K * MINUS_I**g
-        for _, e in mono.uexp:
-            c = c / math.factorial(e)
-        pairs.append((mono, c))
+        multiplicity = math.prod([math.factorial(e) for _, e in mono.uexp])
+        pairs.append((mono, K * MINUS_I**g / multiplicity))
     return DiffPoly(accumulate(pairs))
 
 
@@ -198,12 +195,12 @@ def assemble_polynomial(d: int, g: int, cache_dir=None) -> StrataPolynomial:
     if g < 0:
         raise ValueError("g must be >= 0")
     table = extract_coeff_table(d, cache_dir)
-    falling = accumulate(
-        (perm, K)
+    # each ordering sorts back to one jets tuple, and no table entry is zero
+    falling = {
+        perm: K
         for jets, K in table.for_genus(g).items()
         for perm in _distinct_permutations(jets)
-    )
-    falling = {perm: K for perm, K in falling.items() if K}
+    }
     power = falling_convert(falling, "to_power")
     return StrataPolynomial(
         d=d,

@@ -269,7 +269,7 @@ def test_verify_all_json_deterministic(tmp_path):
     # no hash seed is pinned, so the two children differ in it.
     package_root = str(Path(qkdv.__file__).resolve().parent.parent)
     env = {"PATH": "/usr/bin:/bin", "QKDV_CACHE": str(env_cache),
-           "PYTHONPATH": package_root}
+           "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"}
 
     def run_proc():
         return subprocess.run(

@@ -65,16 +65,21 @@ def test_falling_round_trip(poly):
 
 
 @given(
-    st.integers(min_value=0, max_value=5), st.integers(min_value=0, max_value=5)
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=5),
+    st.integers(min_value=0, max_value=4),
 )
-def test_falling_convert_against_sympy(e1, e2):
-    m1, m2 = sympy.symbols("m1 m2")
-    converted = falling_convert({(e1, e2): s(1)}, "to_power")
+def test_falling_convert_against_sympy(e1, e2, e3):
+    # an interior zero exponent is where a key-order slip would hide
+    m1, m2, m3 = sympy.symbols("m1 m2 m3")
+    converted = falling_convert({(e1, e2, e3): s(1)}, "to_power")
     ours = sympy.Integer(0)
-    for (a, b), c in converted.items():
+    for (a, b, k), c in converted.items():
         assert c.is_real()
-        ours += sympy.Rational(c.re) * m1**a * m2**b
-    theirs = sympy.expand(sympy.ff(m1, e1) * sympy.ff(m2, e2))
+        ours += sympy.Rational(c.re) * m1**a * m2**b * m3**k
+    theirs = sympy.expand(
+        sympy.ff(m1, e1) * sympy.ff(m2, e2) * sympy.ff(m3, e3)
+    )
     assert sympy.expand(ours - theirs) == 0
 
 
