@@ -6,7 +6,8 @@ version; a version bump invalidates them.  Each entry carries the CRC-32 of
 its compact terms JSON, so an entry edited after it was written, or written
 without it, is rebuilt (hashlib's sha256 would load OpenSSL: 3.7 MB more
 peak memory per process).  Writes go through a temp file and an atomic
-rename so a partially written entry is never observed.
+rename so a partially written entry is never observed, and a failed write
+removes its temp file.
 """
 
 from __future__ import annotations
@@ -62,5 +63,9 @@ def store_density(path: Path, d: int, density: DiffPoly) -> None:
     payload["crc32"] = _checksum(payload["terms"])
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}.{threading.get_ident()}")
-    tmp.write_text(json.dumps(payload, separators=(",", ":")))
-    os.replace(tmp, path)
+    try:
+        tmp.write_text(json.dumps(payload, separators=(",", ":")))
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -115,13 +115,12 @@ def cmd_reconstruct(args) -> int:
         _emit_json({"status": type(exc).__name__, "message": str(exc)})
         return 1
     payload = cert.to_json_dict()
+    matches = True
     if args.compare:
         matches = compare_with_wang(args.d, args.G, args.mmax, args.cache_dir)
         payload["matches_closed_form"] = matches
-        _emit_json(payload)
-        return 0 if matches else 1
     _emit_json(payload)
-    return 0
+    return 0 if matches else 1
 
 
 def cmd_intersect(args) -> int:

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -466,15 +466,7 @@ class CommuteReport:
     max_intermediate_dimension: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "pairs": [
-                {"d1": p.d1, "d2": p.d2, "mmax": p.mmax, "status": p.status}
-                for p in self.pairs
-            ],
-            "witness": self.witness,
-            "sectors_checked": self.sectors_checked,
-            "max_intermediate_dimension": self.max_intermediate_dimension,
-        }
+        return asdict(self)
 
 
 def check_commute(d1: int, d2: int, mmax: int, cache_dir=None) -> CommuteReport:
@@ -506,9 +498,6 @@ def check_commute(d1: int, d2: int, mmax: int, cache_dir=None) -> CommuteReport:
 class ConsistencyReport:
     pairs: list[dict]
     witness: dict | None
-
-    def to_json_dict(self) -> dict:
-        return {"pairs": self.pairs, "witness": self.witness}
 
 
 def classical_consistency(

@@ -9,6 +9,7 @@ suite rather than assumed.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 from . import linalg
@@ -96,19 +97,23 @@ def component_monomials(grade: int, weight: int) -> list[DiffMonomial]:
     return sorted(out, key=DiffMonomial.sort_key)
 
 
-def _dx_image_rows(
-    grade: int, weight: int, targets: list[DiffMonomial]
-) -> list[list[Scalar]]:
-    """Coordinates of dx applied to the (grade-1, weight-1) component."""
+@lru_cache(maxsize=None)
+def _dx_image(grade: int, weight: int):
+    """The (grade, weight) monomials and the reduced image of dx from the
+    (grade-1, weight-1) component, as (targets, reduced rows, pivots).
+
+    Tuples throughout, as every caller shares the memoized result.
+    """
+    targets = tuple(component_monomials(grade, weight))
     index = {mono: i for i, mono in enumerate(targets)}
     rows = []
     for src in component_monomials(grade - 1, weight - 1):
-        image = dx(DiffPoly({src: Scalar.of(1)}))
         vec = [ZERO] * len(targets)
-        for mono, c in image.terms():
+        for mono, c in dx(DiffPoly({src: Scalar.of(1)})).terms():
             vec[index[mono]] = c
         rows.append(vec)
-    return rows
+    reduced, pivots = linalg.rref(rows)
+    return targets, tuple(map(tuple, reduced)), tuple(pivots)
 
 
 def functional_basis(grade: int, weight: int) -> list[LocalFunctional]:
@@ -118,16 +123,11 @@ def functional_basis(grade: int, weight: int) -> list[LocalFunctional]:
     (grade-1, weight-1) component, and returns the monomials at non-pivot
     coordinates of that image.  The empty list is a valid answer.
     """
-    targets = component_monomials(grade, weight)
-    if not targets:
-        return []
-    rows = _dx_image_rows(grade, weight, targets)
-    _, pivots = linalg.rref(rows)
-    pivot_set = set(pivots)
+    targets, _, pivots = _dx_image(grade, weight)
     return [
         to_functional(DiffPoly({mono: Scalar.of(1)}))
         for i, mono in enumerate(targets)
-        if i not in pivot_set
+        if i not in pivots
     ]
 
 
@@ -147,12 +147,8 @@ def integrand_normal_form(f: DiffPoly) -> DiffPoly:
         blocks.setdefault(key, {})[bare] = c
     out = DiffPoly.zero()
     for (h, grade, weight), coeffs in sorted(blocks.items()):
-        targets = component_monomials(grade, weight)
-        index = {mono: i for i, mono in enumerate(targets)}
-        vec = [ZERO] * len(targets)
-        for mono, c in coeffs.items():
-            vec[index[mono]] = c
-        reduced, pivots = linalg.rref(_dx_image_rows(grade, weight, targets))
+        targets, reduced, pivots = _dx_image(grade, weight)
+        vec = [coeffs.get(mono, ZERO) for mono in targets]
         vec = linalg.reduce_against(vec, reduced, pivots)
         block = {DiffMonomial(t.uexp, h): c for t, c in zip(targets, vec)}
         out = out + DiffPoly(block)

@@ -51,10 +51,6 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     return reduced, pivots
 
 
-def rank(rows: list[Row]) -> int:
-    return len(rref(rows)[1])
-
-
 def _kernel(reduced: list[Row], pivots: list[int], ncols: int) -> list[Row]:
     """Right-kernel basis of the first ``ncols`` columns of a reduced form.
 

@@ -24,10 +24,15 @@ show up at power G+3, while every retained block is still constrained.
 
 Sectors are added starting at momentum d + 2G + 1 and increased until the
 kernel collapses; the solution is then re-verified on two further momenta.
+The system is one table that grows with each new sector: a row per key
+(state, output state, hbar power, p0 power), a column per unknown and a last
+column for the classical part, which becomes the negated right-hand side.
+Each commutator is applied once, when its state's sector is added.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
@@ -37,7 +42,7 @@ from .fock import FockVector, commutator_apply, partitions_of
 from .functionals import LocalFunctional, functional_basis, to_functional
 from .hierarchy import classical_density, wang_hamiltonian
 from .linalg import solve_affine
-from .scalars import ZERO, Scalar
+from .scalars import ZERO
 
 _SCHEDULE_SPAN = 8
 
@@ -132,42 +137,15 @@ def _ansatz_complete(d: int, G: int) -> bool:
     return True
 
 
-def _commutator_with(h1: DiffPoly, density: DiffPoly, lam) -> FockVector:
-    return commutator_apply(density, h1, FockVector.basis(lam))
-
-
-def _nonzero_through(vec: FockVector, hmax: int | None) -> bool:
-    return any(
-        hmax is None or h <= hmax
-        for _, amp in vec.terms()
-        for (h, _), _c in amp.terms()
-    )
-
-
-def _assemble_system(base_out, unknown_outs, hmax):
-    """Rows of the exact linear system from commutator coefficients.
-
-    Keys are (state, output partition, hbar power, p0 power); with a
-    finite hmax only hbar powers up to it contribute rows.  One pass over
-    the outputs fills each key's row, with the base output in the last
-    column, which becomes the negated right-hand side.
-    """
-    n = len(unknown_outs)
-    table: dict = {}
-    for col, outs in enumerate((*unknown_outs, base_out)):
-        for lam, vec in outs.items():
-            for mu, amp in vec.terms():
-                for (h, p), c in amp.terms():
-                    if hmax is None or h <= hmax:
-                        key = (lam, mu, h, p)
-                        row = table.get(key)
-                        if row is None:
-                            row = table[key] = [ZERO] * (n + 1)
-                        row[col] = c
-    ordered = sorted(table, key=lambda k: (k[0].parts, k[1].parts, k[2], k[3]))
-    rows = [table[k][:n] for k in ordered]
-    rhs = [-table[k][n] for k in ordered]
-    return rows, rhs
+def _window_terms(h1: DiffPoly, density: DiffPoly, lam, hmax: int | None):
+    """The (key, coefficient) pairs of [density, H_1] applied to |lam>, within
+    the hbar window; keys are (state, output, hbar, p0), the states as their
+    parts, so sorted keys give the rows of the linear system in order."""
+    out = commutator_apply(density, h1, FockVector.basis(lam))
+    for mu, amp in out.terms():
+        for (h, p), c in amp.terms():
+            if hmax is None or h <= hmax:
+                yield (lam.parts, mu.parts, h, p), c
 
 
 def reconstruct_with_certificate(
@@ -188,47 +166,44 @@ def _solve(d: int, G: int, mmax: int | None, cache_dir):
     schedule = [mmax] if mmax is not None else list(
         range(start, start + _SCHEDULE_SPAN)
     )
-    trace: list[tuple[int, int]] = []
-    solution: list[Scalar] | None = None
-    used = schedule[0]
+    density = ansatz.classical
 
     if not unknowns:
-        trace.append((used, 0))
-        density = ansatz.classical
+        trace = [(schedule[0], 0)]
     else:
-        base_out: dict = {}
-        unknown_outs: list[dict] = [{} for _ in unknowns]
-        done = -1
-        solved = False
+        n = len(unknowns)
+        columns = (*unknowns, ansatz.classical)
+        table = defaultdict(lambda: [ZERO] * (n + 1))
+        trace = []
+        done = 0
         for target in schedule:
-            for m in range(done + 1, target + 1):
+            for m in range(done, target + 1):
                 for lam in partitions_of(m):
-                    base_out[lam] = _commutator_with(h1, ansatz.classical, lam)
-                    for i, b in enumerate(unknowns):
-                        unknown_outs[i][lam] = _commutator_with(h1, b, lam)
-            done = max(done, target)
-            rows, rhs = _assemble_system(base_out, unknown_outs, hmax)
-            particular, kernel = solve_affine(rows, rhs, len(unknowns))
+                    for col, b in enumerate(columns):
+                        for key, c in _window_terms(h1, b, lam, hmax):
+                            table[key][col] = c
+            done = target + 1
+            rows = [table[key] for key in sorted(table)]
+            particular, kernel = solve_affine(
+                [row[:n] for row in rows], [-row[n] for row in rows], n
+            )
             if particular is None:
                 raise InconsistentError(
                     f"no solution for d={d}, G={G} at momenta <= {target}"
                 )
             trace.append((target, len(kernel)))
-            used = target
             if not kernel:
-                solution = particular
-                solved = True
                 break
-        if not solved:
-            raise UnderdeterminedError(d, G, used, trace[-1][1])
-        density = ansatz.classical
-        for x, b in zip(solution, unknowns):
+        else:
+            raise UnderdeterminedError(d, G, target, len(kernel))
+        for x, b in zip(particular, unknowns):
             density = density + b * x
 
+    used = trace[-1][0]
     verified = tuple(range(used + 3))
     for m in verified:
         for lam in partitions_of(m):
-            if _nonzero_through(_commutator_with(h1, density, lam), hmax):
+            if any(c for _, c in _window_terms(h1, density, lam, hmax)):
                 raise InconsistentError(
                     f"re-verification failed for d={d}, G={G} on |{lam}>"
                 )

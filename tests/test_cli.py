@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import qkdv
-from qkdv import hierarchy, reconstruction
+from qkdv import DiffPoly, Scalar, hierarchy, reconstruction
 from qkdv._version import ENGINE_VERSION
-from qkdv.cache import load_density, store_density
+from qkdv.cache import load_density, store_density, wang_path
 from qkdv.cli import main
 from qkdv.diffpoly import to_json_dict
 from qkdv.hierarchy import clear_memory_memo, wang_hamiltonian
@@ -263,21 +263,29 @@ def test_env_var_selects_cache(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "wang" / "H_0.json").exists()
 
 
+# The child imports the same qkdv as this process, installed or not.
+_PACKAGE_ROOT = str(Path(qkdv.__file__).resolve().parent.parent)
+
+
+def run_child(*args, **env):
+    """Run the CLI in a fresh process, whose density memo starts empty."""
+    return subprocess.run(
+        [sys.executable, "-m", "qkdv.cli", *args],
+        capture_output=True,
+        text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": _PACKAGE_ROOT,
+             "PYTHONDONTWRITEBYTECODE": "1", **env},
+    )
+
+
 def test_verify_all_json_deterministic(tmp_path):
     env_cache = tmp_path / "c"
-    # The child imports the same qkdv as this process, installed or not;
-    # no hash seed is pinned, so the two children differ in it.
-    package_root = str(Path(qkdv.__file__).resolve().parent.parent)
-    env = {"PATH": "/usr/bin:/bin", "QKDV_CACHE": str(env_cache),
-           "PYTHONPATH": package_root, "PYTHONDONTWRITEBYTECODE": "1"}
 
+    # No hash seed is pinned, so the two children differ in it.
     def run_proc():
-        return subprocess.run(
-            [sys.executable, "-m", "qkdv.cli", "verify-all", "--level", "quick",
-             "--format", "json"],
-            capture_output=True,
-            text=True,
-            env=env,
+        return run_child(
+            "verify-all", "--level", "quick", "--format", "json",
+            QKDV_CACHE=str(env_cache),
         )
 
     first = run_proc()
@@ -290,3 +298,55 @@ def test_verify_all_json_deterministic(tmp_path):
     doc = json.loads(first.stdout)
     assert doc["passed"] is True and doc["level"] == "quick"
     assert len(doc["checks"]) == 8
+
+
+def test_forged_entry_is_trusted_then_caught_and_repaired(capsys, tmp_path):
+    # H_2 with its hbar*u1^2 coefficient doubled, written with a valid CRC:
+    # the bidegree and classical part are right, so loading trusts it
+    _, expected, _ = run(capsys, "hamiltonian", "-d", "2")
+    true = wang_hamiltonian(2).density
+    forged = true + DiffPoly.term(Scalar.of(0, "-1/24"), ((1, 2),), hbar=1)
+    store_density(wang_path(tmp_path, 2), 2, forged)
+    cache = ("--cache-dir", str(tmp_path))
+
+    shown = run_child(*cache, "hamiltonian", "-d", "2")
+    assert shown.returncode == 0 and shown.stdout != expected
+    commute = run_child(
+        *cache, "commute", "--d1", "1", "--d2", "2", "--mmax", "4",
+        "--format", "json",
+    )
+    assert commute.returncode == 1
+    assert json.loads(commute.stdout) == {
+        "d1": 1, "d2": 2, "partition": [2], "entry": [1, 1],
+        "coefficient": "1/2*i*hbar^3",
+    }
+    verify = run_child(*cache, "verify-all", "--level", "quick")
+    assert verify.returncode == 1
+    lines = verify.stdout.splitlines()
+    assert [ln.split(":")[0] for ln in lines if ln.startswith("FAIL ")] == [
+        "FAIL recursion-identities",
+        "FAIL integrability",
+        "FAIL reconstruction-uniqueness",
+        "FAIL infrastructure",
+    ]
+    assert lines[-1] == "FAILURES: 4 (level=quick)"
+    # the infrastructure check deleted and rewrote every entry
+    shown = run_child(*cache, "hamiltonian", "-d", "2")
+    assert (shown.returncode, shown.stdout) == (0, expected)
+
+
+def test_failed_cache_write_leaves_no_temp_file(capsys, tmp_path, monkeypatch):
+    _, expected, _ = run(capsys, "hamiltonian", "-d", "3")
+
+    def refuse(*args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("qkdv.cache.os.replace", refuse)
+    monkeypatch.setattr(hierarchy, "_store_failed", False)
+    clear_memory_memo()
+    code, out, err = run(
+        capsys, "--cache-dir", str(tmp_path), "hamiltonian", "-d", "3"
+    )
+    assert (code, out) == (0, expected)
+    assert err.count("warning") == 1 and "No space left on device" in err
+    assert not list((tmp_path / "wang").glob("*.tmp*"))

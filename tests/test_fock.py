@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qkdv import (
     DiffPoly,
     FockVector,
+    MismatchError,
     Partition,
     Scalar,
     SectorScalar,
@@ -22,6 +23,7 @@ from qkdv import (
     dx,
     partitions_of,
     poisson_density,
+    run_suite,
     wang_hamiltonian,
 )
 from qkdv.fock import (
@@ -269,6 +271,23 @@ def test_classical_consistency_hand_pairs():
     assert classical_consistency(f, f, 3).witness is None
     with pytest.raises(ValueError):
         classical_consistency(DiffPoly.term(1, ((0, 1),), hbar=1), u(0), 2)
+
+
+def test_calibration_witness_for_a_wrong_bracket(monkeypatch):
+    # a bracket off by a factor of two is caught on the first sector it reaches
+    monkeypatch.setattr(
+        "qkdv.fock.poisson_density", lambda f, g: poisson_density(f, g) * 2
+    )
+    with pytest.raises(MismatchError) as info:
+        classical_consistency(u(0, 3), u(1, 2), 4)
+    assert info.value.partition == Partition.make([2])
+    assert list(info.value.witness_dict()) == [
+        "f", "g", "partition", "commutator", "bracket",
+    ]
+    summary = run_suite("quick")
+    assert [r.name for r in summary.results if not r.passed] == [
+        "classical-calibration"
+    ]
 
 
 def test_classical_consistency_seeded_pairs():

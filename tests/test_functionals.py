@@ -18,6 +18,7 @@ from qkdv import (
     to_functional,
     variational_derivative,
 )
+from qkdv import functionals, linalg
 from qkdv.diffpoly import Bidegree
 
 from conftest import diff_polys
@@ -80,6 +81,20 @@ def test_basis_dimension_against_independent_rank(grade, weight):
         cols.append(col)
     rank = sympy.Matrix(cols).T.rank() if cols else 0
     assert len(functional_basis(grade, weight)) == len(target) - rank
+
+
+def test_dx_image_is_reduced_once(monkeypatch):
+    # the basis and the normal form share one memoized image per component
+    rref = linalg.rref
+    calls = []
+    monkeypatch.setattr(linalg, "rref", lambda rows: calls.append(1) or rref(rows))
+    functionals._dx_image.cache_clear()
+    f = u(0) * u(2) + u(1, 2)  # dx(u0 u1), grade 2 and weight 4
+    for _ in range(2):
+        assert len(functional_basis(2, 4)) == 1
+        # its hbar^0 and hbar^1 blocks reduce against the same image
+        assert to_functional(f + f * DiffPoly.hbar(1)).normal_form().is_zero()
+    assert len(calls) == 1
 
 
 def test_basis_members_are_independent_in_the_quotient():

@@ -1,12 +1,15 @@
 """Rebuilding Hamiltonians from commutation constraints alone."""
 
-from dataclasses import FrozenInstanceError
+import json
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
+import qkdv.reconstruction
 from qkdv import (
     DiffPoly,
     FockVector,
+    InconsistentError,
     Scalar,
     UnderdeterminedError,
     build_ansatz,
@@ -18,6 +21,7 @@ from qkdv import (
     to_functional,
     wang_hamiltonian,
 )
+from qkdv.cli import main
 
 u = DiffPoly.u
 
@@ -129,3 +133,43 @@ def test_functional_rep_is_read_only():
         wang_hamiltonian(2).functional.rep = DiffPoly.zero()
     assert str(reconstruct(2, 1).rep) == before != "0"
     assert wang_hamiltonian(2).functional.rep == wang_hamiltonian(2).density
+
+
+@pytest.fixture
+def wrong_first_hamiltonian(monkeypatch):
+    """The solver sees H_1 + u1^2 as the first Hamiltonian, with no solve memo."""
+    true = qkdv.reconstruction.wang_hamiltonian
+
+    def substituted(d, cache_dir=None):
+        record = true(d, cache_dir)
+        if d == 1:
+            record = replace(record, density=record.density + u(1, 2))
+        return record
+
+    qkdv.reconstruction._solve.cache_clear()
+    monkeypatch.setattr(qkdv.reconstruction, "wang_hamiltonian", substituted)
+    yield
+    qkdv.reconstruction._solve.cache_clear()
+
+
+def test_inconsistent_system_is_reported(wrong_first_hamiltonian):
+    with pytest.raises(InconsistentError) as info:
+        reconstruct(2, 1)
+    assert str(info.value) == "no solution for d=2, G=1 at momenta <= 5"
+
+
+def test_failed_reverification_is_reported(wrong_first_hamiltonian):
+    # no unknowns at (1, 2): the classical density alone is re-verified
+    with pytest.raises(InconsistentError) as info:
+        reconstruct(1, 2)
+    assert str(info.value) == "re-verification failed for d=1, G=2 on |2>"
+
+
+def test_cli_reports_inconsistency(wrong_first_hamiltonian, capsys):
+    code = main(["reconstruct", "-d", "2", "-G", "1"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert doc == {
+        "status": "InconsistentError",
+        "message": "no solution for d=2, G=1 at momenta <= 5",
+    }
