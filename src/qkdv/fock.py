@@ -37,11 +37,13 @@ ways are counted.  Results are memoized per (monomial, state) and per
 Every i in an amplitude comes from the grading, one per unit of the jet
 weight J and one per annihilation, so the enumeration works in integers
 (memoized assignment counts) and applies the phase i^(J + a) last, with a
-the number of annihilations.  Its rows stay flat, (parts, (hbar, p0),
-Scalar), with one row per key of a (monomial, state) pair: the untouched and
-created parts fix the annihilated multiset and the number of zero modes.
-``_realize`` is the one place amplitudes are grouped; each action feeds it
-one Scalar product per row, and only it builds SectorScalar and FockVector.
+the number of annihilations.  Its rows are flat, (parts, (hbar, p0),
+(re, im)), one per key of a (monomial, state) pair.  The kernel stays in
+such Gaussian integers: each density carries one denominator, the lcm D_f
+of its coefficients' (``_integral``), an input vector one more, D_v, and
+every product is an int product.  ``_realize`` divides by the known scale
+once per entry: it is the one way back to Q(i), and the only place the
+kernel builds a Scalar, SectorScalar or FockVector.
 """
 
 from __future__ import annotations
@@ -297,12 +299,12 @@ def _assignment_count(
 def _monomial_terms(jet_groups, pool: Partition, ways):
     """Every term of the bare monomial prod u_j acting on the parts in pool.
 
-    Yields (untouched parts, created parts, (hbar, p0), amplitude) rows.
+    Yields (untouched parts, created parts, (hbar, p0), (re, im)) rows.
     ``ways(ann)`` counts the ways to draw the annihilated sub-multiset
     ``ann``, as (part, count) pairs, from the state; a count of zero skips
     it.  The hbar power is the number of annihilations and the p0 power the
     number of zero modes.  The untouched and created parts fix both, so no
-    two rows share a key, and every amplitude is a nonzero Scalar.
+    two rows share a key; every amplitude is a nonzero real or imaginary int.
     """
     r = sum(cnt for _, cnt in jet_groups)
     jet_weight = sum(j * cnt for j, cnt in jet_groups)
@@ -323,27 +325,52 @@ def _monomial_terms(jet_groups, pool: Partition, ways):
                 vals[0] = z
             count = _assignment_count(jet_groups, tuple(sorted(vals.items())))
             if count:
-                c = Fraction(n * count)
-                amp = Scalar(im=c) if phase % 2 else Scalar(c)
+                amp = (0, n * count) if phase % 2 else (n * count, 0)
                 yield stripped, Partition(creators), (size_a, z), amp
 
 
-def _realize(terms) -> FockVector:
-    """Sum ((state, hbar, p0), amplitude) pairs into a FockVector.
+def _gauss_sum(rows, out=None) -> dict:
+    """Sum (key, (re, im)) rows into ``out``, dropping the sums that vanish."""
+    out = {} if out is None else out
+    for key, c in rows:
+        acc = out.get(key)
+        out[key] = c if acc is None else (acc[0] + c[0], acc[1] + c[1])
+    return {key: c for key, c in out.items() if c[0] or c[1]}
 
-    The kernel's one grouping step: amplitudes stay flat Scalars until
-    here, and each state's SectorScalar is built once from its sums.
-    """
+
+def _minus(x: dict, y: dict) -> dict:
+    return _gauss_sum(((k, (-a, -b)) for k, (a, b) in y.items()), dict(x))
+
+
+def _scaled(pairs) -> tuple[int, tuple]:
+    """The lcm D of the denominators in (key, Scalar) pairs, and the pairs
+    times D as (key, (re, im)) Gaussian integers."""
+    pairs = tuple(pairs)
+    D = math.lcm(*(x.denominator for _, c in pairs for x in (c.re, c.im)))
+    return D, tuple(
+        (key, tuple(x.numerator * D // x.denominator for x in (c.re, c.im)))
+        for key, c in pairs
+    )
+
+
+@lru_cache(maxsize=None)
+def _integral(f: DiffPoly) -> tuple[int, tuple]:
+    return _scaled(f.terms())
+
+
+def _realize(rows: dict, scale: int) -> FockVector:
+    """Summed ((state, hbar, p0), (re, im)) rows over their scale, in Q(i)."""
     by_state: dict[Partition, dict] = {}
-    for (state, h, p), c in accumulate(terms).items():
-        by_state.setdefault(state, {})[h, p] = c
+    for (state, h, p), (re, im) in rows.items():
+        amps = by_state.setdefault(state, {})
+        amps[h, p] = Scalar(Fraction(re, scale), Fraction(im, scale))
     return FockVector({s: SectorScalar(amps) for s, amps in by_state.items()})
 
 
 @lru_cache(maxsize=None)
 def _split_apply(
     jet_groups: tuple[tuple[int, int], ...], lam: Partition
-) -> tuple[tuple[Partition, Partition, tuple[int, int], Scalar], ...]:
+) -> tuple[tuple[Partition, Partition, tuple[int, int], tuple[int, int]], ...]:
     """Apply the coefficient-free monomial prod u_j to a basis state.
 
     Returns the rows of :func:`_monomial_terms`, keeping the state's
@@ -358,30 +385,46 @@ def _split_apply(
 
 
 @lru_cache(maxsize=None)
-def _apply_to_basis(f: DiffPoly, lam: Partition) -> FockVector:
-    return _realize(
-        ((stripped.add(created.parts), h + mono.hbar, p), amp * c)
-        for mono, c in f.terms()
-        for stripped, created, (h, p), amp in _split_apply(mono.uexp, lam)
+def _apply_to_basis(f: DiffPoly, lam: Partition) -> tuple:
+    """f-hat |lam> as summed ((state, hbar, p0), (re, im)) rows, scale D_f."""
+    return tuple(
+        _gauss_sum(
+            ((stripped.add(created.parts), h + mono.hbar, p),
+             (a * c - b * d, a * d + b * c))
+            for mono, (a, b) in _integral(f)[1]
+            for stripped, created, (h, p), (c, d) in _split_apply(mono.uexp, lam)
+        ).items()
+    )
+
+
+def _act(f: DiffPoly, rows) -> dict:
+    """f-hat on ((state, hbar, p0), (re, im)) rows; the result's scale is
+    theirs times D_f."""
+    return _gauss_sum(
+        ((mu, h1 + h2, p1 + p2), (a * c - b * d, a * d + b * c))
+        for (lam, h1, p1), (a, b) in rows
+        for (mu, h2, p2), (c, d) in _apply_to_basis(f, lam)
+    )
+
+
+def _vector_rows(v: FockVector) -> tuple[int, tuple]:
+    return _scaled(
+        ((lam, h, p), c) for lam, amp in v.terms() for (h, p), c in amp.terms()
     )
 
 
 def apply_quantized(f: DiffPoly, v: FockVector) -> FockVector:
     """Act with the quantization of the density f on a Fock vector."""
-    return _realize(
-        ((mu, h1 + h2, p1 + p2), c1 * c2)
-        for lam, amp in v.terms()
-        for (h1, p1), c1 in amp.terms()
-        for mu, image in _apply_to_basis(f, lam).terms()
-        for (h2, p2), c2 in image.terms()
-    )
+    d_v, rows = _vector_rows(v)
+    return _realize(_act(f, rows), _integral(f)[0] * d_v)
 
 
 def commutator_apply(f: DiffPoly, g: DiffPoly, v: FockVector) -> FockVector:
     """Apply the commutator of the quantizations of f and g."""
-    return apply_quantized(f, apply_quantized(g, v)) - apply_quantized(
-        g, apply_quantized(f, v)
-    )
+    d_v, rows = _vector_rows(v)
+    fg = _act(f, _act(g, rows).items())
+    gf = _act(g, _act(f, rows).items())
+    return _realize(_minus(fg, gf), _integral(f)[0] * _integral(g)[0] * d_v)
 
 
 @lru_cache(maxsize=None)
@@ -389,14 +432,14 @@ def _tracked_single(
     jet_groups: tuple[tuple[int, int], ...],
     plain: Partition,
     marked: Partition,
-) -> tuple[tuple[Partition, tuple[int, int], Scalar], ...]:
+) -> tuple[tuple[Partition, tuple[int, int], tuple[int, int]], ...]:
     """Apply a bare monomial, keeping terms that hit the marked pool once.
 
     The state consists of two pools of parts.  Annihilators may draw from
     either; this keeps exactly the terms where a single annihilation lands
     in the marked pool, which is how one isolates the part of an operator
     product with exactly one cross pairing.  Output parts are merged again,
-    so rows are (state, (hbar, p0), amplitude) and several may share a key.
+    so rows are (state, (hbar, p0), (re, im)) and several may share a key.
     """
     p_counts = plain.counts()
     m_counts = marked.counts()
@@ -417,24 +460,25 @@ def _tracked_single(
     )
 
 
-def _cross_once(f: DiffPoly, g: DiffPoly, lam: Partition) -> FockVector:
-    """Terms of f-hat (g-hat |lam>) where f pairs with g's output exactly once."""
+def _cross_once(f: DiffPoly, g: DiffPoly, lam: Partition) -> dict:
+    """Terms of f-hat (g-hat |lam>) where f pairs with g's output exactly
+    once, as summed rows of scale D_f * D_g."""
 
     def terms():
-        for mono_g, cg in g.terms():
-            for stripped, created, (hg, pg), amp_g in _split_apply(mono_g.uexp, lam):
+        for mono_g, (a, b) in _integral(g)[1]:
+            for stripped, created, (hg, pg), (c, d) in _split_apply(mono_g.uexp, lam):
                 if not created.parts:
                     continue
-                stage = amp_g * cg
-                for mono_f, cf in f.terms():
-                    factor = stage * cf
+                sa, sb = a * c - b * d, a * d + b * c
+                for mono_f, (e, k) in _integral(f)[1]:
+                    fa, fb = sa * e - sb * k, sa * k + sb * e
                     h0 = hg + mono_g.hbar + mono_f.hbar
-                    for mu, (h, p), amp_f in _tracked_single(
+                    for mu, (h, p), (x, y) in _tracked_single(
                         mono_f.uexp, stripped, created
                     ):
-                        yield (mu, h0 + h, pg + p), amp_f * factor
+                        yield (mu, h0 + h, pg + p), (x * fa - y * fb, x * fb + y * fa)
 
-    return _realize(terms())
+    return _gauss_sum(terms())
 
 
 def single_contraction_apply(
@@ -447,7 +491,8 @@ def single_contraction_apply(
     no pairing cancel between the two orders.  This isolates the terms with
     exactly one, which carry the entire first-order content of the bracket.
     """
-    return _cross_once(f, g, lam) - _cross_once(g, f, lam)
+    scale = _integral(f)[0] * _integral(g)[0]
+    return _realize(_minus(_cross_once(f, g, lam), _cross_once(g, f, lam)), scale)
 
 
 @dataclass(frozen=True)
@@ -481,9 +526,12 @@ def check_commute(d1: int, d2: int, mmax: int, cache_dir=None) -> CommuteReport:
         for lam in partitions_of(m):
             fv = _apply_to_basis(f, lam)
             gv = _apply_to_basis(g, lam)
-            max_dim = max(max_dim, len(fv), len(gv))
-            w = apply_quantized(f, gv) - apply_quantized(g, fv)
-            if not w.is_zero():
+            # states, not (state, hbar, p0) keys
+            max_dim = max(max_dim, *(len({k[0] for k, _ in v}) for v in (fv, gv)))
+            # both orders carry the scale D_f * D_g, so their rows compare as ints
+            fg, gf = _act(f, gv), _act(g, fv)
+            if fg != gf:
+                w = _realize(_minus(fg, gf), _integral(f)[0] * _integral(g)[0])
                 mu, amp = w.terms_sorted()[0]
                 raise CommutatorNonzero(d1, d2, lam, mu, amp)
     return CommuteReport(
@@ -514,12 +562,12 @@ def classical_consistency(
     """
     if f.max_hbar() or g.max_hbar():
         raise ValueError("classical consistency needs hbar-free densities")
-    p = poisson_density(f, g)
-    hbar = SectorScalar.monomial(1, 1, 0)
+    # hbar is central, so hbar times the bracket's operator is that of hbar * p
+    p = poisson_density(f, g) * DiffPoly.hbar()
     for m in range(mmax + 1):
         for lam in partitions_of(m):
             lhs = single_contraction_apply(f, g, lam)
-            rhs = _apply_to_basis(p, lam).scale(hbar)
+            rhs = apply_quantized(p, FockVector.basis(lam))
             if lhs != rhs:
                 raise MismatchError(f, g, lam, lhs, rhs)
     return ConsistencyReport(
@@ -529,8 +577,9 @@ def classical_consistency(
 
 
 def clear_fock_caches() -> None:
-    """Reset the assignment-count, per-(monomial, state) and per-(density, state) memos."""
+    """Reset every memo of the kernel."""
     _assignment_count.cache_clear()
     _split_apply.cache_clear()
     _tracked_single.cache_clear()
     _apply_to_basis.cache_clear()
+    _integral.cache_clear()

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
@@ -209,6 +210,29 @@ def assemble_polynomial(d: int, g: int, cache_dir=None) -> StrataPolynomial:
         falling=_canonical_mpoly(falling),
         power=_canonical_mpoly(power),
     )
+
+
+def _closed_form(n: int, g: int, with_sum_factor: bool = True) -> MPoly:
+    """[z^(2g)] S((a_1+...+a_n) z) S(a_1 z) ... S(a_n z) in the a_i, with
+    S(x) = sinh(x/2)/(x/2) = sum_k x^(2k) / (4^k (2k+1)!): the falling table
+    of (d, g) for n = d + 2 - 2g, in the shape of the Buryak-Shadrin-Spitz-
+    Zvonkine formula for psi-integrals over double ramification cycles.  A
+    term takes k0 from the sum factor (none without it, a negative control)
+    and k_i from the others, and a multinomial share beta of (sum a)^(2 k0).
+    """
+
+    def s(k: int) -> Fraction:
+        return Fraction(1, 4**k * math.factorial(2 * k + 1))
+
+    out = accumulate(
+        (tuple(2 * k + b for k, b in zip(ks, beta)),
+         s(k0) * math.prod(map(s, ks)) * math.factorial(2 * k0)
+         / math.prod(map(math.factorial, beta)))
+        for k0 in range(g + 1 if with_sum_factor else 1)
+        for ks in product(range(g - k0 + 1), repeat=n) if sum(ks) == g - k0
+        for beta in product(range(2 * k0 + 1), repeat=n) if sum(beta) == 2 * k0
+    )
+    return {e: Scalar.of(c) for e, c in out.items()}
 
 
 def genus0_check(d: int, cache_dir=None) -> bool:

@@ -30,6 +30,7 @@ from .hierarchy import (
     wang_hamiltonian,
 )
 from .intersection import (
+    _closed_form,
     assemble_polynomial,
     extract_coeff_table,
     falling_convert,
@@ -204,6 +205,8 @@ def _check_intersection(bounds, cache_dir) -> str:
             back = falling_convert(sp.power_dict(), "to_falling")
             if back != sp.falling_dict():
                 raise AssertionError(f"basis round trip fails at d={d}, g={g}")
+            if sp.falling_dict() != _closed_form(sp.n, g):
+                raise AssertionError(f"not the closed form at d={d}, g={g}")
     return f"tables for d<={dmax}: symmetric, degree 2g, round trips exact"
 
 

@@ -327,9 +327,11 @@ def test_forged_entry_is_trusted_then_caught_and_repaired(capsys, tmp_path):
         "FAIL recursion-identities",
         "FAIL integrability",
         "FAIL reconstruction-uniqueness",
+        "FAIL intersection-predictor",
         "FAIL infrastructure",
     ]
-    assert lines[-1] == "FAILURES: 4 (level=quick)"
+    assert "not the closed form at d=2, g=1" in lines[-3]
+    assert lines[-1] == "FAILURES: 5 (level=quick)"
     # the infrastructure check deleted and rewrote every entry
     shown = run_child(*cache, "hamiltonian", "-d", "2")
     assert (shown.returncode, shown.stdout) == (0, expected)

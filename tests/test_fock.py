@@ -1,6 +1,7 @@
 """Free-boson realization: oracle checks, integrability, calibration."""
 
 import collections
+import dataclasses
 import itertools
 import random
 
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdv import (
+    CommutatorNonzero,
     DiffPoly,
     FockVector,
     MismatchError,
@@ -29,13 +31,14 @@ from qkdv import (
 from qkdv.fock import (
     _assignment_count,
     _split_apply,
+    _tracked_single,
     clear_fock_caches,
     single_contraction_apply,
 )
-from qkdv.scalars import I, as_scalar
+from qkdv.scalars import I, accumulate, as_scalar
 from qkdv.verify import random_density
 
-from conftest import diff_polys, hbar_free_polys, stores_no_zero
+from conftest import diff_polys, hbar_free_polys, small_scalar, stores_no_zero
 
 u = DiffPoly.u
 
@@ -91,6 +94,57 @@ def oracle_apply(f: DiffPoly, lam: Partition) -> FockVector:
             acc = out.get(mu)
             out[mu] = entry if acc is None else acc + entry
     return FockVector(out)
+
+
+def _sector_vector(terms) -> FockVector:
+    """((state, hbar, p0), Scalar) sums as a FockVector."""
+    by_state: dict[Partition, dict] = {}
+    for (state, h, p), c in accumulate(terms).items():
+        by_state.setdefault(state, {})[h, p] = c
+    return FockVector({s: SectorScalar(amps) for s, amps in by_state.items()})
+
+
+def scalar_basis(f: DiffPoly, lam: Partition) -> FockVector:
+    """f-hat |lam> in Q(i): one Scalar product per enumeration row."""
+    return _sector_vector(
+        ((stripped.add(created.parts), h + mono.hbar, p), Scalar.of(*amp) * c)
+        for mono, c in f.terms()
+        for stripped, created, (h, p), amp in _split_apply(mono.uexp, lam)
+    )
+
+
+def scalar_apply(f: DiffPoly, v: FockVector) -> FockVector:
+    """The per-state Q(i) path the Gaussian-integer kernel replaced.
+
+    Each state's column is multiplied by its SectorScalar amplitude, so every
+    amplitude product is a Gaussian-rational product and no common
+    denominator appears anywhere.
+    """
+    out = FockVector()
+    for lam, amp in v.terms():
+        out = out + scalar_basis(f, lam).scale(amp)
+    return out
+
+
+def scalar_commutator(f: DiffPoly, g: DiffPoly, v: FockVector) -> FockVector:
+    return scalar_apply(f, scalar_apply(g, v)) - scalar_apply(g, scalar_apply(f, v))
+
+
+def scalar_single_contraction(
+    f: DiffPoly, g: DiffPoly, lam: Partition
+) -> FockVector:
+    def cross_once(f, g):
+        return _sector_vector(
+            ((mu, hg + mono_g.hbar + mono_f.hbar + h, pg + p),
+             Scalar.of(*amp_f) * Scalar.of(*amp_g) * cg * cf)
+            for mono_g, cg in g.terms()
+            for stripped, created, (hg, pg), amp_g in _split_apply(mono_g.uexp, lam)
+            if created.parts
+            for mono_f, cf in f.terms()
+            for mu, (h, p), amp_f in _tracked_single(mono_f.uexp, stripped, created)
+        )
+
+    return cross_once(f, g) - cross_once(g, f)
 
 
 ORACLE_POLYS = [
@@ -364,6 +418,68 @@ def test_cache_clearing_changes_nothing():
     assert apply_quantized(h2, FockVector.basis(lam)) == before
 
 
+def test_kernel_matches_scalar_path_on_hamiltonians():
+    """H_-1..H_6 on every state of momentum <= 6, against the Q(i) path.
+    The commutator partner does not commute with them, so both sides are
+    mostly nonzero, and its denominator 15 differs from theirs."""
+    partner = u(0) * u(1, 2) / 5 + DiffPoly.term(
+        Scalar.of(0, "1/3"), ((0, 1), (2, 1)), hbar=1
+    )
+    states = [lam for m in range(7) for lam in partitions_of(m)]
+    nonzero = 0
+    for d in range(-1, 7):
+        h = wang_hamiltonian(d).density
+        for lam in states:
+            v = FockVector.basis(lam)
+            assert apply_quantized(h, v) == scalar_apply(h, v), (d, lam)
+            got = commutator_apply(h, partner, v)
+            assert got == scalar_commutator(h, partner, v), (d, lam)
+            assert single_contraction_apply(
+                h, partner, lam
+            ) == scalar_single_contraction(h, partner, lam), (d, lam)
+            nonzero += not got.is_zero()
+    assert nonzero > len(states)
+
+
+_fractional = st.builds(lambda c: c * Scalar.of("1/3", "-1/7"), small_scalar)
+
+
+@settings(max_examples=25, deadline=None)
+@given(diff_polys, diff_polys, partitions, partitions, _fractional, _fractional)
+def test_kernel_matches_scalar_path_on_mixed_denominators(f, g, lam, mu, a, b):
+    """Arbitrary Q(i) densities on a two-state vector whose amplitudes carry
+    hbar, p0 and a non-integer Gaussian factor, so D_v > 1."""
+    v = FockVector.basis(lam).scale(SectorScalar.monomial(a, 1, 2)) + (
+        FockVector.basis(mu).scale(SectorScalar.monomial(b, 0, 1))
+    )
+    assert apply_quantized(f, v) == scalar_apply(f, v)
+    assert commutator_apply(f, g, v) == scalar_commutator(f, g, v)
+    assert single_contraction_apply(f, g, lam) == scalar_single_contraction(
+        f, g, lam
+    )
+
+
+def test_commutator_witness_with_mixed_denominators(monkeypatch):
+    """A forged H_2 with a -1/7 coefficient: D_f = 12 for H_1 and D_g = 168,
+    so the witness is exact only when it is divided by their product."""
+    true = wang_hamiltonian
+
+    def forged(d, cache_dir=None):
+        record = true(d, cache_dir)
+        if d != 2:
+            return record
+        extra = DiffPoly.term(Scalar.of(0, "-1/7"), ((1, 2),), hbar=1)
+        return dataclasses.replace(record, density=record.density + extra)
+
+    monkeypatch.setattr("qkdv.fock.wang_hamiltonian", forged)
+    with pytest.raises(CommutatorNonzero) as info:
+        check_commute(1, 2, 4)
+    assert info.value.witness_dict() == {
+        "d1": 1, "d2": 2, "partition": [2], "entry": [1, 1],
+        "coefficient": "12/7*i*hbar^3",
+    }
+
+
 def test_split_apply_has_one_row_per_key():
     """The untouched and created parts fix the annihilated multiset (hbar
     power) and the zero-mode count (p0 power), so the rows of one
@@ -377,6 +493,8 @@ def test_split_apply_has_one_row_per_key():
                     keys = {(kept, created) for kept, created, _, _ in rows}
                     assert len(keys) == len(rows)
                     for kept, created, (h, p), amp in rows:
-                        assert amp
+                        # a nonzero Gaussian integer, real or imaginary
+                        assert [type(x) for x in amp] == [int, int]
+                        assert amp != (0, 0) and 0 in amp
                         assert h == len(lam.parts) - len(kept.parts)
                         assert p == r - h - len(created.parts)

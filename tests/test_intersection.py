@@ -1,9 +1,7 @@
 """Predicted intersection polynomials and the coefficient inversion."""
 
-import math
 import time
 from dataclasses import replace
-from fractions import Fraction
 from itertools import permutations
 
 import sympy
@@ -19,7 +17,7 @@ from qkdv import (
     reassemble_density,
     wang_hamiltonian,
 )
-from qkdv.intersection import _distinct_permutations
+from qkdv.intersection import _closed_form, _distinct_permutations
 
 
 def s(x):
@@ -206,41 +204,6 @@ def test_symmetry_check_within_budget_and_rejects_asymmetry():
     for poly in (missing, altered):
         broken = replace(sp, power=tuple(sorted(poly.items())))
         assert not broken.is_symmetric()
-
-
-def _s_coefficient(k):
-    """[x^(2k)] S(x) for S(x) = sinh(x/2)/(x/2) = sum_k x^(2k) / (4^k (2k+1)!)."""
-    return Fraction(1, 4**k * math.factorial(2 * k + 1))
-
-
-def _compositions(total, parts):
-    """Ordered tuples of `parts` nonnegative ints summing to total."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _closed_form(n, g, with_sum_factor=True):
-    """Coefficients of [z^(2g)] S((a_1+...+a_n) z) prod_i S(a_i z) in the a_i.
-
-    With S(sum a z) = sum_k0 (sum a)^(2 k0) z^(2 k0) [x^(2 k0)] S, a term
-    takes k0 from the first factor, k_i from the others (k0 + sum k_i = g)
-    and a multinomial beta of 2 k0 from (sum a)^(2 k0).
-    """
-    out = {}
-    for k0 in range(g + 1 if with_sum_factor else 1):
-        for ks in _compositions(g - k0, n):
-            base = _s_coefficient(k0) * math.prod(map(_s_coefficient, ks))
-            for beta in _compositions(2 * k0, n):
-                ways = math.factorial(2 * k0) // math.prod(
-                    map(math.factorial, beta)
-                )
-                exps = tuple(2 * k + b for k, b in zip(ks, beta))
-                out[exps] = out.get(exps, 0) + base * ways
-    return {e: Scalar.of(c) for e, c in out.items() if c}
 
 
 CLOSED_FORM_CASES = [(2, 1), (4, 1), (4, 2), (6, 2), (6, 3), (8, 3), (9, 2), (10, 4)]
