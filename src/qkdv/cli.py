@@ -24,7 +24,7 @@ from ._version import ENGINE_VERSION
 from .diffpoly import to_json_dict
 from .fock import CommutatorNonzero, check_commute
 from .hierarchy import s_series, wang_hamiltonian
-from .intersection import assemble_polynomial, as_rational_string
+from .intersection import assemble_polynomial
 from .reconstruction import (
     InconsistentError,
     UnderdeterminedError,
@@ -137,7 +137,7 @@ def cmd_intersect(args) -> int:
             "g": sp.g,
             "n": sp.n,
             "falling": {
-                "(" + ",".join(str(a) for a in exps) + ")": as_rational_string(c)
+                "(" + ",".join(str(a) for a in exps) + ")": str(c)
                 for exps, c in sp.falling
             },
             "power": render_mpoly_text(sp.power_dict(), names),
@@ -156,7 +156,7 @@ def cmd_intersect(args) -> int:
     print("falling-basis coefficients:")
     for exps, c in sp.falling:
         label = ",".join(str(a) for a in exps)
-        print(f"  ({label}) -> {as_rational_string(c)}")
+        print(f"  ({label}) -> {c}")
     return 0
 
 

@@ -10,9 +10,10 @@ powers is a per-variable Stirling transform, so each power-basis term of a
 monomial is its coefficient times one product of per-variable Stirling
 numbers.
 
-The structural constraint n = d + 2 - 2g per monomial is checked during
-extraction, and reassembling the density from the table must reproduce it
-bit-exactly (both are exercised by the suite).
+Extraction checks, per monomial, the constraint n = d + 2 - 2g and that c is
+real (psi-integrals over double ramification cycles are rational), so the
+phase is stripped there once and every table holds ``Fraction``s.
+Reassembling the density from the table must reproduce it bit-exactly.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from itertools import product
 
 from .diffpoly import DiffMonomial, DiffPoly
 from .hierarchy import wang_hamiltonian
-from .scalars import MINUS_I, ONE, Scalar, accumulate
+from .scalars import MINUS_I, accumulate
 
-MPoly = dict[tuple[int, ...], Scalar]
+MPoly = dict[tuple[int, ...], Fraction]
 
 
 class WeightMismatchError(ValueError):
@@ -93,19 +94,19 @@ class FallingCoeffTable:
     """Coefficients K keyed by (g, ascending jet tuple) for one index d."""
 
     d: int
-    entries: dict[tuple[int, tuple[int, ...]], Scalar]
+    entries: dict[tuple[int, tuple[int, ...]], Fraction]
 
     def genera(self) -> list[int]:
         return sorted({g for g, _ in self.entries})
 
-    def for_genus(self, g: int) -> dict[tuple[int, ...], Scalar]:
+    def for_genus(self, g: int) -> dict[tuple[int, ...], Fraction]:
         return {s: K for (gg, s), K in self.entries.items() if gg == g}
 
 
 def extract_coeff_table(d: int, cache_dir=None) -> FallingCoeffTable:
-    """Invert the closed form: one K per monomial of the d-th density."""
+    """Invert the closed form: one rational K per monomial of the d-th density."""
     density = wang_hamiltonian(d, cache_dir).density
-    entries: dict[tuple[int, tuple[int, ...]], Scalar] = {}
+    entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     for mono, c in density.terms():
         g = mono.hbar
         jets = mono.jets()
@@ -115,8 +116,13 @@ def extract_coeff_table(d: int, cache_dir=None) -> FallingCoeffTable:
                 f"monomial {mono} of H_{d} has {n} factors, expected "
                 f"{d + 2 - 2 * g} at hbar^{g}"
             )
+        base = c / MINUS_I**g
+        if not base.is_real():
+            raise ValueError(
+                f"monomial {mono} of H_{d}: {c} is not real times (-i)^{g}"
+            )
         multiplicity = math.prod([math.factorial(e) for _, e in mono.uexp])
-        entries[(g, jets)] = c / MINUS_I**g * multiplicity
+        entries[(g, jets)] = base.re * multiplicity
     return FallingCoeffTable(d, entries)
 
 
@@ -147,8 +153,8 @@ class StrataPolynomial:
     d: int
     g: int
     n: int
-    falling: tuple[tuple[tuple[int, ...], Scalar], ...]
-    power: tuple[tuple[tuple[int, ...], Scalar], ...]
+    falling: tuple[tuple[tuple[int, ...], Fraction], ...]
+    power: tuple[tuple[tuple[int, ...], Fraction], ...]
 
     def falling_dict(self) -> MPoly:
         return dict(self.falling)
@@ -169,7 +175,7 @@ class StrataPolynomial:
         return {sum(exps) for exps, _ in self.falling}
 
     def is_constant_one(self) -> bool:
-        return dict(self.falling) == {(0,) * self.n: ONE}
+        return dict(self.falling) == {(0,) * self.n: 1}
 
     def variable_names(self) -> list[str]:
         if self.n == 1:
@@ -177,7 +183,7 @@ class StrataPolynomial:
         return [f"m{i}" for i in range(1, self.n + 1)]
 
 
-def _canonical_mpoly(p: MPoly) -> tuple[tuple[tuple[int, ...], Scalar], ...]:
+def _canonical_mpoly(p: MPoly) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     return tuple(sorted(p.items(), key=lambda kv: kv[0]))
 
 
@@ -224,7 +230,7 @@ def _closed_form(n: int, g: int, with_sum_factor: bool = True) -> MPoly:
     def s(k: int) -> Fraction:
         return Fraction(1, 4**k * math.factorial(2 * k + 1))
 
-    out = accumulate(
+    return accumulate(
         (tuple(2 * k + b for k, b in zip(ks, beta)),
          s(k0) * math.prod(map(s, ks)) * math.factorial(2 * k0)
          / math.prod(map(math.factorial, beta)))
@@ -232,15 +238,8 @@ def _closed_form(n: int, g: int, with_sum_factor: bool = True) -> MPoly:
         for ks in product(range(g - k0 + 1), repeat=n) if sum(ks) == g - k0
         for beta in product(range(2 * k0 + 1), repeat=n) if sum(beta) == 2 * k0
     )
-    return {e: Scalar.of(c) for e, c in out.items()}
 
 
 def genus0_check(d: int, cache_dir=None) -> bool:
     """The genus-0 polynomial must be the constant 1 for every d."""
     return assemble_polynomial(d, 0, cache_dir).is_constant_one()
-
-
-def as_rational_string(c: Scalar) -> str:
-    if not c.is_real():
-        raise ValueError(f"expected a real rational, got {c}")
-    return str(c.re)

@@ -96,20 +96,15 @@ def _mpoly_term(exps: tuple[int, ...], mag: int, names: list[str], latex: bool) 
 
 
 def _render_mpoly(poly, names: list[str], latex: bool) -> str:
-    """Common-denominator rendering of a rational-coefficient polynomial."""
+    """Common-denominator rendering of a ``Fraction``-coefficient polynomial."""
     items = sorted(poly.items(), key=lambda kv: kv[0], reverse=True)
     items = [(e, c) for e, c in items if c]
     if not items:
         return "0"
-    for _, c in items:
-        if not c.is_real():
-            raise ValueError(f"cannot render non-real coefficient {c}")
-    den = lcm(*(c.re.denominator for _, c in items))
+    den = lcm(*(c.denominator for _, c in items))
     pieces = []
     for exps, c in items:
-        whole = c.re * den
-        assert whole.denominator == 1
-        coeff = whole.numerator
+        coeff = c.numerator * (den // c.denominator)
         pieces.append((coeff < 0, _mpoly_term(exps, abs(coeff), names, latex)))
     numerator = _signed_sum(pieces, spaced=False)
     if den == 1:

@@ -1,6 +1,6 @@
 """Exact Gaussian-rational scalars.
 
-Every coefficient in this package lives in Q(i): numbers ``re + im*i`` with
+Density and Fock coefficients live in Q(i): numbers ``re + im*i`` with
 arbitrary-precision rational components.  Components are
 :class:`fractions.Fraction`, so they are always reduced with a positive
 denominator; structural equality is value equality and hashing is safe.

@@ -10,10 +10,17 @@ import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from qkdv import DiffPoly, FockVector, Scalar
 from qkdv.cache import ENV_VAR
+
+# Each example asserts an exact identity, so its run time on a loaded or slow
+# machine says nothing about correctness: Hypothesis's 200 ms deadline only
+# turns a slow example into a spurious failure.
+settings.register_profile("exact", deadline=None)
+settings.load_profile("exact")
 
 
 def pytest_configure(config):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import qkdv
-from qkdv import DiffPoly, Scalar, hierarchy, reconstruction
+from qkdv import DiffMonomial, DiffPoly, Scalar, hierarchy, reconstruction
 from qkdv._version import ENGINE_VERSION
 from qkdv.cache import load_density, store_density, wang_path
 from qkdv.cli import main
@@ -335,6 +335,29 @@ def test_forged_entry_is_trusted_then_caught_and_repaired(capsys, tmp_path):
     # the infrastructure check deleted and rewrote every entry
     shown = run_child(*cache, "hamiltonian", "-d", "2")
     assert (shown.returncode, shown.stdout) == (0, expected)
+
+
+def test_forged_entry_with_a_broken_phase_is_refused_by_intersect(tmp_path):
+    # H_2 with its hbar*u1^2 coefficient real (1/24) instead of -i/24: the
+    # bidegree and classical part are right, so loading trusts it, and the
+    # coefficient table must refuse it before anything is printed
+    true = wang_hamiltonian(2).density
+    mono = DiffMonomial(((1, 2),), 1)
+    forged = (
+        true
+        - DiffPoly.term(true.coefficient(mono), ((1, 2),), hbar=1)
+        + DiffPoly.term(Scalar.of("1/24"), ((1, 2),), hbar=1)
+    )
+    store_density(wang_path(tmp_path, 2), 2, forged)
+    for fmt in ("text", "json", "latex"):
+        shown = run_child(
+            "--cache-dir", str(tmp_path), "intersect", "-d", "2", "-g", "1",
+            "--format", fmt,
+        )
+        assert (shown.returncode, shown.stdout) == (2, ""), shown.stderr
+        lines = shown.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert "of H_2" in lines[0] and "(-i)^1" in lines[0], lines
 
 
 def test_failed_cache_write_leaves_no_temp_file(capsys, tmp_path, monkeypatch):

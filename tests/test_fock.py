@@ -249,20 +249,20 @@ def test_vacuum_leading_order_is_the_classical_symbol():
         assert lead == classical_density(d).terms_sorted()[0][1]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(diff_polys, partitions)
 def test_total_derivatives_quantize_to_zero(g, lam):
     assert apply_quantized(dx(g), FockVector.basis(lam)).is_zero()
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(hbar_free_polys, partitions)
 def test_momentum_conservation(f, lam):
     got = apply_quantized(f, FockVector.basis(lam))
     assert got.momenta() <= {lam.momentum}
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(diff_polys, partitions, partitions)
 def test_linearity_in_the_state(f, lam, mu):
     c = SectorScalar.monomial(Scalar.of(2, -3), 1, 0)
@@ -272,7 +272,7 @@ def test_linearity_in_the_state(f, lam, mu):
     ).scale(c) + apply_quantized(f, FockVector.basis(mu))
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(hbar_free_polys, hbar_free_polys, partitions)
 def test_commutator_antisymmetry(f, g, lam):
     v = FockVector.basis(lam)
@@ -283,7 +283,7 @@ def test_commutator_antisymmetry(f, g, lam):
     assert all((amp - amp).is_zero() for _, amp in fg.terms_sorted())
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(diff_polys, partitions)
 def test_zero_mode_is_central(g, lam):
     assert commutator_apply(u(0), g, FockVector.basis(lam)).is_zero()
@@ -444,7 +444,7 @@ def test_kernel_matches_scalar_path_on_hamiltonians():
 _fractional = st.builds(lambda c: c * Scalar.of("1/3", "-1/7"), small_scalar)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(diff_polys, diff_polys, partitions, partitions, _fractional, _fractional)
 def test_kernel_matches_scalar_path_on_mixed_denominators(f, g, lam, mu, a, b):
     """Arbitrary Q(i) densities on a two-state vector whose amplitudes carry

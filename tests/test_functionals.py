@@ -122,7 +122,7 @@ def test_poisson_antisymmetry(f, g):
     assert poisson_bracket(lf, lg) == -poisson_bracket(lg, lf)
 
 
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=10)
 @given(
     st.sampled_from(
         [u(0, 3) / 6, u(0, 4) / 24, u(1, 2), u(0) * u(1, 2), u(0, 2) / 2]

@@ -8,8 +8,11 @@ benchmark runs; this catches it in the test suite.
 
 import importlib
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
+import qkdv
 from qkdv import fock
 
 TRACED_JOB = Path(__file__).resolve().parent.parent / "perfbench" / "traced_job.py"
@@ -28,6 +31,25 @@ def test_spanned_functions_resolve_in_qkdv():
     for mod_name, attr, _span in traced.SPANNED:
         module = importlib.import_module(f"qkdv.{mod_name}")
         assert callable(getattr(module, attr, None)), f"qkdv.{mod_name}.{attr}"
+
+
+def test_importing_the_cli_loads_every_spanned_module():
+    """``instrument()`` looks each spanned module up in ``sys.modules`` after
+    ``import qkdv.cli``; a module that the CLI imported only on demand would
+    make ``--trace 1`` fail with a KeyError."""
+    traced = load_traced_job()
+    probe = "import sys, qkdv.cli; print(*sorted(sys.modules))"
+    child = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        check=True,
+        env={"PATH": "/usr/bin:/bin",
+             "PYTHONPATH": str(Path(qkdv.__file__).resolve().parent.parent)},
+    )
+    loaded = set(child.stdout.split())
+    for mod_name, _attr, _span in traced.SPANNED:
+        assert f"qkdv.{mod_name}" in loaded, f"qkdv.{mod_name}"
 
 
 def test_memos_are_fock_lru_caches():
