@@ -30,7 +30,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .scalars import MINUS_I, ONE, Scalar, SparseMap, accumulate, as_scalar
+from .scalars import I, MINUS_I, ONE, Scalar, SparseMap, accumulate, as_scalar
 
 
 class OddPowerError(ValueError):
@@ -52,10 +52,7 @@ class DiffMonomial:
 
     @staticmethod
     def make(uexp=(), hbar: int = 0) -> DiffMonomial:
-        if isinstance(uexp, dict):
-            items = uexp.items()
-        else:
-            items = uexp
+        items = uexp.items() if isinstance(uexp, dict) else uexp
         merged: dict[int, int] = {}
         for s, e in items:
             if s < 0:
@@ -161,11 +158,7 @@ class DiffPoly(SparseMap):
 
     def max_jet(self) -> int:
         """Largest jet index appearing, -1 for jet-free polynomials."""
-        top = -1
-        for mono in self._terms:
-            if mono.uexp:
-                top = max(top, mono.uexp[-1][0])
-        return top
+        return max((m.uexp[-1][0] for m in self._terms if m.uexp), default=-1)
 
     # -- arithmetic -----------------------------------------------------
 
@@ -205,11 +198,8 @@ class DiffPoly(SparseMap):
 
     def hbar_coefficient(self, g: int) -> DiffPoly:
         """The coefficient of hbar^g, with the hbar factor removed."""
-        out = {}
-        for mono, c in self._terms.items():
-            if mono.hbar == g:
-                out[DiffMonomial(mono.uexp, 0)] = c
-        return DiffPoly(out)
+        terms = self._terms.items()
+        return DiffPoly({DiffMonomial(m.uexp): c for m, c in terms if m.hbar == g})
 
     def hbar_truncate(self, gmax: int) -> DiffPoly:
         return DiffPoly({m: c for m, c in self._terms.items() if m.hbar <= gmax})
@@ -235,20 +225,21 @@ class DiffPoly(SparseMap):
 # -- derivations ---------------------------------------------------------
 
 
+def leibniz(uexp: tuple):
+    """The one Leibniz loop: yields (jet exponents, factor) per term of dx."""
+    for i, (s, e) in enumerate(uexp):
+        head, rest = uexp[:i] + ((s, e - 1),) * (e > 1), uexp[i + 1 :]
+        bump = bool(rest) and rest[0][0] == s + 1  # u_(s+1) is already there
+        yield head + ((s + 1, rest[0][1] + 1 if bump else 1),) + rest[bump:], e
+
+
 def dx(f: DiffPoly) -> DiffPoly:
     """Total x-derivative: the derivation sending u_s to u_{s+1}."""
-    # make() merges u_{s+1} into its entry and drops a zero exponent of u_s
     return DiffPoly(
         accumulate(
-            (
-                DiffMonomial.make(
-                    mono.uexp[:i] + ((s, e - 1), (s + 1, 1)) + mono.uexp[i + 1 :],
-                    mono.hbar,
-                ),
-                c * e,
-            )
+            (DiffMonomial(uexp, mono.hbar), c * e)
             for mono, c in f.terms()
-            for i, (s, e) in enumerate(mono.uexp)
+            for uexp, e in leibniz(mono.uexp)
         )
     )
 
@@ -305,13 +296,14 @@ def scale_substitute(f: DiffPoly) -> DiffPoly:
     even, so the result picks up (-i*hbar)^(t/2) and no radical is ever
     stored.  Odd t raises :class:`OddPowerError`.
     """
+    phase = (ONE, MINUS_I, -ONE, I)  # (-i)^h by h mod 4
     pairs = []
     for mono, c in f.terms():
         t = mono.jet_weight()
         if t % 2:
             raise OddPowerError(f"odd total jet weight {t} in monomial {mono}")
         half = t // 2
-        pairs.append((DiffMonomial(mono.uexp, mono.hbar + half), c * MINUS_I**half))
+        pairs.append((DiffMonomial(mono.uexp, mono.hbar + half), c * phase[half % 4]))
     return DiffPoly(accumulate(pairs))
 
 

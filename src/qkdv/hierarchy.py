@@ -27,6 +27,10 @@ is the z^(d+2) coefficient of scale((1 - e^-x)/x (S - 1)).  Since
 e^(x/2) is a ring automorphism fixing 1, S - 1 = e^(x/2) (G - 1) and the
 identity follows.
 
+The expansion runs over Q: G and the Horner sum in dx^2 are rational jet
+polynomials, plain {jet exponents: Fraction} maps with no hbar.  The phase
+(-i)^h enters last, in :func:`~qkdv.diffpoly.scale_substitute`.
+
 Conventions pinned here (and verified by the suite):
 
 * classical limit of H_d is u^{d+2}/(d+2)!, the convention forced by the
@@ -46,17 +50,20 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import cache as _cache
 from .diffpoly import (
+    DiffMonomial,
     DiffPoly,
-    dx,
     is_homogeneous,
+    leibniz,
     partial_u,
     scale_substitute,
     variational_derivative,
 )
 from .functionals import LocalFunctional, to_functional
+from .scalars import Scalar, accumulate
 
 _memo: dict[int, "HamiltonianRecord"] = {}
 # (cache directory, d) pairs whose file was loaded, stored or checked
@@ -84,26 +91,38 @@ class HamiltonianRecord:
     functional: LocalFunctional
 
 
-def _exp_series(arg: list[DiffPoly]) -> list[DiffPoly]:
-    """exp(sum_j arg[j] z^j) through z^(len(arg)-1); arg[0] must be zero.
+def _times_u(uexp: tuple, s: int) -> tuple:
+    """The jet exponents of a monomial times u_s."""
+    jets = dict(uexp)
+    jets[s] = jets.get(s, 0) + 1
+    return tuple(sorted(jets.items()))
 
-    E' = A'E gives k E_k = sum_j j arg[j] E_(k-j), so no powers of the
-    exponent are formed.
+
+def _exp_series(kmax: int, arg: dict) -> list[dict]:
+    """exp(sum_j a_j u_(s_j) z^j) through z^kmax over Q; arg maps j to (s_j, a_j).
+
+    Each E_k is a rational jet polynomial {jet exponents: Fraction}.  E' = A'E
+    gives k E_k = sum_j j a_j u_(s_j) E_(k-j): one jet joins each term.
     """
-    out = [DiffPoly.one()]
-    for k in range(1, len(arg)):
-        terms = (arg[j] * out[k - j] * j for j in range(1, k + 1) if arg[j])
-        out.append(sum(terms, DiffPoly.zero()) / k)
+    out = [{(): Fraction(1)}]
+    for k in range(1, kmax + 1):
+        steps = [(s, a * j / k, out[k - j]) for j, (s, a) in arg.items() if j <= k]
+        pairs = ((_times_u(m, s), c * f) for s, f, e in steps for m, c in e.items())
+        out.append(accumulate(pairs))
     return out
+
+
+def _as_diffpoly(terms: dict) -> DiffPoly:
+    """A rational jet polynomial as an hbar-free DiffPoly."""
+    return DiffPoly({DiffMonomial(m): Scalar(c) for m, c in terms.items()})
 
 
 def s_series(kmax: int) -> SSeries:
     """Expand exp(sum_j u_j z^{j+1}/(j+1)!) through z^kmax."""
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
-    arg = [DiffPoly.zero()]
-    arg += [DiffPoly.u(j) / math.factorial(j + 1) for j in range(kmax)]
-    return SSeries(kmax, tuple(_exp_series(arg)))
+    arg = {j + 1: (j, Fraction(1, math.factorial(j + 1))) for j in range(kmax)}
+    return SSeries(kmax, tuple(map(_as_diffpoly, _exp_series(kmax, arg))))
 
 
 def _dr_coefficient(k: int) -> int:
@@ -111,12 +130,11 @@ def _dr_coefficient(k: int) -> int:
     return 4**k * math.factorial(2 * k + 1)
 
 
-def _dr_series(kmax: int) -> list[DiffPoly]:
+def _dr_series(kmax: int) -> list[dict]:
     """G_0..G_kmax of G(z) = exp(sum_k u_(2k) z^(2k+1) / (4^k (2k+1)!))."""
-    arg = [DiffPoly.zero()] * (kmax + 1)
-    for k in range((kmax + 1) // 2):
-        arg[2 * k + 1] = DiffPoly.u(2 * k) / _dr_coefficient(k)
-    return _exp_series(arg)
+    ks = range((kmax + 1) // 2)
+    arg = {2 * k + 1: (2 * k, Fraction(1, _dr_coefficient(k))) for k in ks}
+    return _exp_series(kmax, arg)
 
 
 def classical_density(d: int) -> DiffPoly:
@@ -168,12 +186,15 @@ def wang_hamiltonian(d: int, cache_dir=None) -> HamiltonianRecord:
 
 
 def _expand_density(d: int) -> DiffPoly:
-    """scale(sum_k dx^(2k) G_(d+2-2k) / (4^k (2k+1)!)), Horner in dx^2."""
+    """scale(sum_k dx^(2k) G_(d+2-2k) / (4^k (2k+1)!)), Horner in dx^2 over Q."""
     g = _dr_series(d + 2)
-    acc = DiffPoly.zero()
+    acc: dict = {}
     for k in range((d + 1) // 2, -1, -1):
-        acc = g[d + 2 - 2 * k] / _dr_coefficient(k) + dx(dx(acc))
-    return scale_substitute(acc)
+        for _ in range(2):
+            acc = accumulate((m, c * e) for u, c in acc.items() for m, e in leibniz(u))
+        c_k = _dr_coefficient(k)
+        acc = accumulate(((m, c / c_k) for m, c in g[d + 2 - 2 * k].items()), acc)
+    return scale_substitute(_as_diffpoly(acc))
 
 
 def clear_memory_memo() -> None:

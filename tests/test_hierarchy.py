@@ -1,7 +1,9 @@
 """Hamiltonian densities and their structural identities."""
 
+import hashlib
 import json
 import math
+from fractions import Fraction
 
 import sympy
 
@@ -22,9 +24,10 @@ from qkdv import (
     variational_derivative,
     wang_hamiltonian,
 )
-from qkdv import cache
+from qkdv import cache, hierarchy
 from qkdv.cache import load_density, wang_path
-from qkdv.hierarchy import _exp_series, clear_memory_memo
+from qkdv.diffpoly import to_json
+from qkdv.hierarchy import _dr_series, _exp_series, clear_memory_memo
 from qkdv.scalars import I
 
 u = DiffPoly.u
@@ -215,19 +218,61 @@ def dr_density(d, base=4, unit=MI):
     The scaling sends u_(2k) to (unit*hbar)^k u_(2k); the theorem has
     base 4 and unit -i.
     """
-    arg = [DiffPoly.zero()] * (d + 3)
+    arg = {}
     for k in range((d + 3) // 2):
-        arg[2 * k + 1] = u(2 * k) / (base**k * math.factorial(2 * k + 1))
+        arg[2 * k + 1] = (2 * k, Fraction(1, base**k * math.factorial(2 * k + 1)))
     out = DiffPoly.zero()
-    for mono, c in _exp_series(arg)[d + 2].terms():
-        half = mono.jet_weight() // 2
-        out = out + DiffPoly.term(c * unit**half, mono.uexp, mono.hbar + half)
+    for uexp, c in _exp_series(d + 2, arg)[d + 2].items():
+        half = sum(s * e for s, e in uexp) // 2
+        out = out + DiffPoly.term(c * unit**half, uexp, half)
     return out
 
 
 def test_production_density_is_wangs_literal_formula():
     for d in range(-1, 13):
         assert wang_hamiltonian(d).density == wang_literal(d), f"H_{d}"
+
+
+# sha256 of to_json(H_d), frozen from the Q(i) expansion this one replaced
+FROZEN_DENSITY_SHA256 = {
+    13: "0d3c46d9fb14dd28fa9b3ac5c9301346e5f6ef01149cd190bd9cd585019ba0f4",
+    14: "91de39ec9109cb91d9757e83b6ab6fe2b9fa085914e77c7809d9f37ea59f2fc4",
+    15: "135f5ab890af0b6a33e942b2654251ab3dd0d44cd190ef601065e1bd458699c1",
+    16: "d2b14b99b02d13c982fef01ca8a7e2c46fa087c1d802f5627716406eafc954a4",
+    17: "3eb478bd064022733826715fb995fff4a1f3d9c35714a110cc7e622deab57616",
+    18: "69194f78e5b95b810fda5c9d359b34e36190e618cd60ed4f54fd1bfb7b258b15",
+    19: "e0a9ff2a735b2264b720979083a51beeede9057d68a664a59abba157db1d83f0",
+    20: "db4688d7a751ffb748960a2730d108291134bd0731cc8b56fc260ce4d7bde66d",
+    21: "cccac7c68b1b88e389e2e9f05fef1135e679a4e76102f22335ff5757199768a0",
+    22: "c8aa98d5f98f272b930a4cf75f91291e7b50cb0b42647f96c6a796ea902b699b",
+}
+
+
+def test_densities_beyond_the_literal_check_keep_their_bytes(tmp_cache):
+    clear_memory_memo()
+    for d, digest in FROZEN_DENSITY_SHA256.items():
+        text = to_json(wang_hamiltonian(d, cache_dir=tmp_cache).density)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, f"H_{d}"
+    clear_memory_memo()
+
+
+def test_expansion_is_rational_until_scale_substitute(monkeypatch):
+    for n in range(25):
+        assert all(type(c) is Fraction for g in _dr_series(n) for c in g.values())
+    expected = {d: wang_hamiltonian(d).density for d in range(-1, 19)}
+    wrapped, scaled = [], []
+    as_diffpoly, substitute = hierarchy._as_diffpoly, hierarchy.scale_substitute
+    monkeypatch.setattr(
+        hierarchy, "_as_diffpoly", lambda t: wrapped.append(t) or as_diffpoly(t)
+    )
+    monkeypatch.setattr(
+        hierarchy, "scale_substitute", lambda f: scaled.append(f) or substitute(f)
+    )
+    for d, density in expected.items():
+        assert hierarchy._expand_density(d) == density
+    assert len(wrapped) == len(scaled) == 20
+    assert all(type(c) is Fraction for t in wrapped for c in t.values())
+    assert all(c.is_real() for f in scaled for _, c in f.terms())
 
 
 def test_dr_density_differs_by_a_total_derivative():
