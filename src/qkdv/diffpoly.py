@@ -21,7 +21,8 @@ lowers weight by one.
 
 The deterministic monomial order (used for serialization and rendering) is
 graded lexicographic on ``(hbar exponent, total u-degree, flattened jet
-list)``.
+list)``.  A density's coefficient at hbar^h is a real rational times the
+phase (-i)^h: :data:`PHASE` applies it and :func:`unphased` strips it.
 """
 
 from __future__ import annotations
@@ -31,6 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .scalars import I, MINUS_I, ONE, Scalar, SparseMap, accumulate, as_scalar
+
+PHASE = (ONE, MINUS_I, -ONE, I)  # (-i)^h by h mod 4
 
 
 class OddPowerError(ValueError):
@@ -237,7 +240,7 @@ def dx(f: DiffPoly) -> DiffPoly:
     """Total x-derivative: the derivation sending u_s to u_{s+1}."""
     return DiffPoly(
         accumulate(
-            (DiffMonomial(uexp, mono.hbar), c * e)
+            (DiffMonomial(uexp, mono.hbar), Scalar(c.re * e, c.im * e))
             for mono, c in f.terms()
             for uexp, e in leibniz(mono.uexp)
         )
@@ -253,7 +256,7 @@ def partial_u(f: DiffPoly, s: int) -> DiffPoly:
         e = mono.exponent_of(s)
         if e:
             rest = [(j, x - 1 if j == s else x) for j, x in mono.uexp]
-            pairs.append((DiffMonomial.make(rest, mono.hbar), c * e))
+            pairs.append((DiffMonomial.make(rest, mono.hbar), Scalar(c.re * e, c.im * e)))
     return DiffPoly(accumulate(pairs))
 
 
@@ -296,15 +299,21 @@ def scale_substitute(f: DiffPoly) -> DiffPoly:
     even, so the result picks up (-i*hbar)^(t/2) and no radical is ever
     stored.  Odd t raises :class:`OddPowerError`.
     """
-    phase = (ONE, MINUS_I, -ONE, I)  # (-i)^h by h mod 4
     pairs = []
     for mono, c in f.terms():
         t = mono.jet_weight()
         if t % 2:
             raise OddPowerError(f"odd total jet weight {t} in monomial {mono}")
         half = t // 2
-        pairs.append((DiffMonomial(mono.uexp, mono.hbar + half), c * phase[half % 4]))
+        pairs.append((DiffMonomial(mono.uexp, mono.hbar + half), c * PHASE[half % 4]))
     return DiffPoly(accumulate(pairs))
+
+
+def unphased(mono: DiffMonomial, c: Scalar) -> Fraction | None:
+    """The real x with c = x * (-i)^h, h the hbar power of mono; None if none."""
+    h = mono.hbar % 4
+    # an even h leaves c.im zero, an odd one c.re
+    return None if (c.re, c.im)[1 - h % 2] else (c.re, -c.im, -c.re, c.im)[h]
 
 
 # -- serialization ---------------------------------------------------------

@@ -41,8 +41,9 @@ Conventions pinned here (and verified by the suite):
 * every monomial of H_d is grade 0 and weight d+2.
 
 Computed densities are memoized in memory and on disk (see
-:mod:`qkdv.cache`); recomputation is always bit-identical to the cached
-value, which the suite checks.
+:mod:`qkdv.cache`); recomputation is bit-identical, which the suite checks.
+A disk entry is used only with the bidegree, classical part and phase of H_d,
+and rebuilt otherwise; a memo hit never goes back to the disk.
 """
 
 from __future__ import annotations
@@ -60,14 +61,13 @@ from .diffpoly import (
     leibniz,
     partial_u,
     scale_substitute,
+    unphased,
     variational_derivative,
 )
 from .functionals import LocalFunctional, to_functional
 from .scalars import Scalar, accumulate
 
 _memo: dict[int, "HamiltonianRecord"] = {}
-# (cache directory, d) pairs whose file was loaded, stored or checked
-_checked: set[tuple] = set()
 _store_failed = False
 
 
@@ -154,34 +154,31 @@ def classical_flow_rhs(n: int) -> DiffPoly:
 def wang_hamiltonian(d: int, cache_dir=None) -> HamiltonianRecord:
     """The d-th quantum Hamiltonian, memoized in memory and on disk.
 
-    A caller naming a cache directory also gets a sound file there: each
-    (directory, d) is checked once per process and rewritten when missing
-    or bad.  A failed write only warns, once per process.
+    A memo hit returns without touching the disk.  A miss loads the cache
+    entry, or expands H_d and rewrites the entry when it is missing or bad.
+    A failed write only warns, once per process.
     """
     global _store_failed
     if d < -1:
         raise ValueError("d must be >= -1")
-    record = _memo.get(d)
-    directory = _cache.resolve_cache_dir(cache_dir)
-    if record is not None and (cache_dir is None or (directory, d) in _checked):
-        return record
-    path = _cache.wang_path(directory, d)
+    if d in _memo:
+        return _memo[d]
+    path = _cache.wang_path(_cache.resolve_cache_dir(cache_dir), d)
     density = _cache.load_density(path, d)
-    # a parsed entry is trusted only with the bidegree and classical part of H_d
+    # a parsed entry is trusted only with the bidegree, classical part and phase of H_d
     if density is None or not (
         is_homogeneous(density, 0, d + 2)
         and density.hbar_coefficient(0) == classical_density(d)
+        and all(unphased(m, c) is not None for m, c in density.terms())
     ):
-        density = _expand_density(d) if record is None else record.density
+        density = _expand_density(d)
         try:
             _cache.store_density(path, d, density)
         except OSError as exc:
             if not _store_failed:
                 print(f"qkdv: warning: cache not written: {exc}", file=sys.stderr)
             _store_failed = True
-    if record is None:
-        record = _memo[d] = HamiltonianRecord(d, density, to_functional(density))
-    _checked.add((directory, d))
+    record = _memo[d] = HamiltonianRecord(d, density, to_functional(density))
     return record
 
 
@@ -200,7 +197,6 @@ def _expand_density(d: int) -> DiffPoly:
 def clear_memory_memo() -> None:
     """Drop in-memory records (cache-transparency tests use this)."""
     _memo.clear()
-    _checked.clear()
 
 
 def check_vder_recursion(d: int, cache_dir=None) -> bool:

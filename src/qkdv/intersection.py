@@ -11,8 +11,8 @@ monomial is its coefficient times one product of per-variable Stirling
 numbers.
 
 Extraction checks, per monomial, the constraint n = d + 2 - 2g and that c is
-real (psi-integrals over double ramification cycles are rational), so the
-phase is stripped there once and every table holds ``Fraction``s.
+real (psi-integrals over double ramification cycles are rational), so
+``diffpoly.unphased`` strips the phase once and tables hold ``Fraction``s.
 Reassembling the density from the table must reproduce it bit-exactly.
 """
 
@@ -24,9 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 
-from .diffpoly import DiffMonomial, DiffPoly
+from .diffpoly import PHASE, DiffMonomial, DiffPoly, unphased
 from .hierarchy import wang_hamiltonian
-from .scalars import MINUS_I, accumulate
+from .scalars import accumulate
 
 MPoly = dict[tuple[int, ...], Fraction]
 
@@ -116,13 +116,13 @@ def extract_coeff_table(d: int, cache_dir=None) -> FallingCoeffTable:
                 f"monomial {mono} of H_{d} has {n} factors, expected "
                 f"{d + 2 - 2 * g} at hbar^{g}"
             )
-        base = c / MINUS_I**g
-        if not base.is_real():
+        base = unphased(mono, c)
+        if base is None:
             raise ValueError(
                 f"monomial {mono} of H_{d}: {c} is not real times (-i)^{g}"
             )
         multiplicity = math.prod([math.factorial(e) for _, e in mono.uexp])
-        entries[(g, jets)] = base.re * multiplicity
+        entries[(g, jets)] = base * multiplicity
     return FallingCoeffTable(d, entries)
 
 
@@ -132,7 +132,7 @@ def reassemble_density(table: FallingCoeffTable) -> DiffPoly:
     for (g, jets), K in table.entries.items():
         mono = DiffMonomial.make([(s, 1) for s in jets], g)
         multiplicity = math.prod([math.factorial(e) for _, e in mono.uexp])
-        pairs.append((mono, K * MINUS_I**g / multiplicity))
+        pairs.append((mono, PHASE[g % 4] * (K / multiplicity)))
     return DiffPoly(accumulate(pairs))
 
 

@@ -1,8 +1,8 @@
 """Deterministic text and LaTeX rendering.
 
-Densities print with ``u``, ``u1``, ``u2``, ... and ``hbar``; the combination
-(-i*hbar)^g is kept grouped because every quantum coefficient is a real
-rational times that unit.  Multivariate stratum polynomials print over a
+Densities print with ``u``, ``u1``, ``u2``, ... and ``hbar``, and (-i*hbar)^g
+grouped: each coefficient is a real rational (``diffpoly.unphased``) times
+that unit, which the cache load checks.  Stratum polynomials print over a
 common denominator with exponent tuples sorted descending, so identical
 inputs always produce identical bytes.  Each kind has one renderer; its
 ``latex`` flag only changes how factors, products and quotients are spelled.
@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from math import lcm
 
-from .diffpoly import DiffMonomial, DiffPoly
-from .scalars import MINUS_I, Scalar
+from .diffpoly import DiffMonomial, DiffPoly, unphased
+from .scalars import Scalar
 
 
 def _power(base: str, e: int, latex: bool) -> str:
@@ -36,7 +36,7 @@ def _signed_sum(pieces, spaced: bool) -> str:
 def _term_pieces(mono: DiffMonomial, c: Scalar, latex: bool):
     """Sign, numerator factors and denominator for one rendered term."""
     g = mono.hbar
-    base = c / MINUS_I**g
+    base = unphased(mono, c)
     factors: list[str] = []
     if g:
         unit = r"(-i\hbar)" if latex else "(-i*hbar)"
@@ -46,17 +46,10 @@ def _term_pieces(mono: DiffMonomial, c: Scalar, latex: bool):
     for s, e in mono.uexp:
         name = "u" if s == 0 else (f"u_{{{s}}}" if latex else f"u{s}")
         factors.append(_power(name, e, latex))
-    if base.is_real():
-        num = base.re.numerator
-        den = base.re.denominator
-        negative = num < 0
-        num = abs(num)
-        if num != 1 or not factors:
-            factors.insert(0, str(num))
-        return negative, factors, den
-    # Mixed-phase coefficient: print it verbatim as one factor.
-    factors.insert(0, f"({base})")
-    return False, factors, 1
+    num = abs(base.numerator)
+    if num != 1 or not factors:
+        factors.insert(0, str(num))
+    return base < 0, factors, base.denominator
 
 
 def _render_poly(f: DiffPoly, latex: bool) -> str:

@@ -14,8 +14,11 @@ from qkdv import DiffMonomial, DiffPoly, Scalar, hierarchy, reconstruction
 from qkdv._version import ENGINE_VERSION
 from qkdv.cache import load_density, store_density, wang_path
 from qkdv.cli import main
-from qkdv.diffpoly import to_json_dict
+from qkdv.diffpoly import dx, to_json_dict, variational_derivative
 from qkdv.hierarchy import clear_memory_memo, wang_hamiltonian
+from qkdv.render import render_poly_text
+
+u = DiffPoly.u
 
 
 def run(capsys, *args):
@@ -337,10 +340,48 @@ def test_forged_entry_is_trusted_then_caught_and_repaired(capsys, tmp_path):
     assert (shown.returncode, shown.stdout) == (0, expected)
 
 
-def test_forged_entry_with_a_broken_phase_is_refused_by_intersect(tmp_path):
+def test_forged_entry_with_a_total_derivative_added_is_trusted(capsys, tmp_path):
+    # H_2 + (-i/7)*hbar*dx(u*u1), written with a valid CRC: the bidegree,
+    # classical part and phase are right, and so is the variational
+    # recursion, so loading would trust it even with that check added
+    _, expected, _ = run(capsys, "hamiltonian", "-d", "2")
+    true = wang_hamiltonian(2).density
+    forged = true + DiffPoly.hbar() * dx(u(0) * u(1)) * Scalar.of(0, "-1/7")
+    assert forged == (
+        u(0, 4) / 24
+        + DiffPoly.hbar() * (u(0) * u(2) * Scalar.of(0, "-19/84")
+                             + u(1, 2) * Scalar.of(0, "-31/168"))
+    )
+    assert variational_derivative(forged) == wang_hamiltonian(1).density
+    store_density(wang_path(tmp_path, 2), 2, forged)
+    cache = ("--cache-dir", str(tmp_path))
+
+    shown = run_child(*cache, "hamiltonian", "-d", "2")
+    printed = f"H_2 = {render_poly_text(forged)}\n"
+    assert (shown.returncode, shown.stdout) == (0, printed) and printed != expected
+    # a total derivative acts as zero on the Fock space
+    commute = run_child(*cache, "commute", "--d1", "1", "--d2", "2", "--mmax", "6")
+    assert commute.returncode == 0, commute.stdout
+    verify = run_child(*cache, "verify-all", "--level", "quick")
+    assert verify.returncode == 1
+    lines = verify.stdout.splitlines()
+    # dH_3/du is the true H_2, so the recursion check fails one index up
+    assert [ln.split(":")[0] for ln in lines if ln.startswith("FAIL ")] == [
+        "FAIL recursion-identities",
+        "FAIL intersection-predictor",
+        "FAIL infrastructure",
+    ]
+    assert "variational recursion fails at d=3" in lines[2]
+    assert "not the closed form at d=2, g=1" in lines[-3]
+    assert lines[-1] == "FAILURES: 3 (level=quick)"
+    shown = run_child(*cache, "hamiltonian", "-d", "2")
+    assert (shown.returncode, shown.stdout) == (0, expected)
+
+
+def test_forged_entry_with_a_broken_phase_is_rebuilt(capsys, tmp_path):
     # H_2 with its hbar*u1^2 coefficient real (1/24) instead of -i/24: the
-    # bidegree and classical part are right, so loading trusts it, and the
-    # coefficient table must refuse it before anything is printed
+    # bidegree and classical part are right, the phase is not, so the load
+    # rebuilds the entry before any command reads it
     true = wang_hamiltonian(2).density
     mono = DiffMonomial(((1, 2),), 1)
     forged = (
@@ -348,16 +389,18 @@ def test_forged_entry_with_a_broken_phase_is_refused_by_intersect(tmp_path):
         - DiffPoly.term(true.coefficient(mono), ((1, 2),), hbar=1)
         + DiffPoly.term(Scalar.of("1/24"), ((1, 2),), hbar=1)
     )
-    store_density(wang_path(tmp_path, 2), 2, forged)
-    for fmt in ("text", "json", "latex"):
-        shown = run_child(
-            "--cache-dir", str(tmp_path), "intersect", "-d", "2", "-g", "1",
-            "--format", fmt,
-        )
-        assert (shown.returncode, shown.stdout) == (2, ""), shown.stderr
-        lines = shown.stderr.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), lines
-        assert "of H_2" in lines[0] and "(-i)^1" in lines[0], lines
+    path = wang_path(tmp_path, 2)
+    for command in (("hamiltonian", "-d", "2"), ("intersect", "-d", "2", "-g", "1")):
+        for fmt in ("text", "json", "latex"):
+            _, expected, _ = run(capsys, *command, "--format", fmt)
+            store_density(path, 2, forged)
+            shown = run_child(
+                "--cache-dir", str(tmp_path), *command, "--format", fmt
+            )
+            assert (shown.returncode, shown.stdout, shown.stderr) == (
+                0, expected, ""
+            ), (command, fmt)
+    assert load_density(path, 2) == true
 
 
 def test_failed_cache_write_leaves_no_temp_file(capsys, tmp_path, monkeypatch):

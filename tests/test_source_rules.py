@@ -30,3 +30,14 @@ def test_stdlib_only_and_no_floats():
                 and isinstance(node.func, ast.Name)
                 and node.func.id == "float"
             ), f"float() call at {where}"
+
+
+def test_only_diffpoly_spells_the_phase():
+    # diffpoly.PHASE and diffpoly.unphased are the one place (-i)^h is
+    # applied or stripped; scalars defines the constant they use
+    for path in SOURCES:
+        if path.name in ("scalars.py", "diffpoly.py"):
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            names = {getattr(node, field, None) for field in ("id", "attr", "name")}
+            assert "MINUS_I" not in names, f"{path.name}:{getattr(node, 'lineno', '?')}"
