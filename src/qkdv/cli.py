@@ -20,24 +20,10 @@ import argparse
 import json
 import sys
 
+# fock, intersection, reconstruction and verify load on first attribute
+# access (see qkdv/__init__.py), so each command reads them only when it runs.
+from . import diffpoly, fock, hierarchy, intersection, reconstruction, render, verify
 from ._version import ENGINE_VERSION
-from .diffpoly import to_json_dict
-from .fock import CommutatorNonzero, check_commute
-from .hierarchy import s_series, wang_hamiltonian
-from .intersection import assemble_polynomial
-from .reconstruction import (
-    InconsistentError,
-    UnderdeterminedError,
-    compare_with_wang,
-    reconstruct_with_certificate,
-)
-from .render import (
-    render_mpoly_latex,
-    render_mpoly_text,
-    render_poly_latex,
-    render_poly_text,
-)
-from .verify import run_suite
 
 
 def _index(value: str) -> int:
@@ -59,41 +45,41 @@ def _emit_json(payload: dict) -> None:
 
 
 def cmd_hamiltonian(args) -> int:
-    record = wang_hamiltonian(args.d, args.cache_dir)
+    record = hierarchy.wang_hamiltonian(args.d, args.cache_dir)
     if args.format == "json":
         payload = {"d": args.d, "engine": ENGINE_VERSION}
-        payload.update(to_json_dict(record.density))
+        payload.update(diffpoly.to_json_dict(record.density))
         _emit_json(payload)
     elif args.format == "latex":
-        print(f"H_{{{args.d}}} = {render_poly_latex(record.density)}")
+        print(f"H_{{{args.d}}} = {render.render_poly_latex(record.density)}")
     else:
-        print(f"H_{args.d} = {render_poly_text(record.density)}")
+        print(f"H_{args.d} = {render.render_poly_text(record.density)}")
     return 0
 
 
 def cmd_s_series(args) -> int:
-    series = s_series(args.kmax)
+    series = hierarchy.s_series(args.kmax)
     if args.format == "json":
         payload = {
             "kmax": args.kmax,
             "coefficients": [
-                to_json_dict(series.coeff(k)) for k in range(args.kmax + 1)
+                diffpoly.to_json_dict(series.coeff(k)) for k in range(args.kmax + 1)
             ],
         }
         _emit_json(payload)
         return 0
     for k in range(args.kmax + 1):
         if args.format == "latex":
-            print(f"S_{{({k})}} = {render_poly_latex(series.coeff(k))}")
+            print(f"S_{{({k})}} = {render.render_poly_latex(series.coeff(k))}")
         else:
-            print(f"S_({k}) = {render_poly_text(series.coeff(k))}")
+            print(f"S_({k}) = {render.render_poly_text(series.coeff(k))}")
     return 0
 
 
 def cmd_commute(args) -> int:
     try:
-        report = check_commute(args.d1, args.d2, args.mmax, args.cache_dir)
-    except CommutatorNonzero as exc:
+        report = fock.check_commute(args.d1, args.d2, args.mmax, args.cache_dir)
+    except fock.CommutatorNonzero as exc:
         _emit_json(exc.witness_dict())
         return 1
     if args.format == "json":
@@ -108,16 +94,21 @@ def cmd_commute(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     try:
-        functional, cert = reconstruct_with_certificate(
+        functional, cert = reconstruction.reconstruct_with_certificate(
             args.d, args.G, mmax=args.mmax, cache_dir=args.cache_dir
         )
-    except (UnderdeterminedError, InconsistentError) as exc:
+    except (
+        reconstruction.UnderdeterminedError,
+        reconstruction.InconsistentError,
+    ) as exc:
         _emit_json({"status": type(exc).__name__, "message": str(exc)})
         return 1
     payload = cert.to_json_dict()
     matches = True
     if args.compare:
-        matches = compare_with_wang(args.d, args.G, args.mmax, args.cache_dir)
+        matches = reconstruction.compare_with_wang(
+            args.d, args.G, args.mmax, args.cache_dir
+        )
         payload["matches_closed_form"] = matches
     _emit_json(payload)
     return 0 if matches else 1
@@ -125,7 +116,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_intersect(args) -> int:
     try:
-        sp = assemble_polynomial(args.d, args.g, args.cache_dir)
+        sp = intersection.assemble_polynomial(args.d, args.g, args.cache_dir)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -140,7 +131,7 @@ def cmd_intersect(args) -> int:
                 "(" + ",".join(str(a) for a in exps) + ")": str(c)
                 for exps, c in sp.falling
             },
-            "power": render_mpoly_text(sp.power_dict(), names),
+            "power": render.render_mpoly_text(sp.power_dict(), names),
         }
         _emit_json(payload)
         return 0
@@ -148,11 +139,11 @@ def cmd_intersect(args) -> int:
         print(f"% prediction: d={sp.d}, g={sp.g}, n={sp.n}")
         print(
             f"P_{{{sp.d},{sp.g}}}({', '.join(names)}) = "
-            f"{render_mpoly_latex(sp.power_dict(), names)}"
+            f"{render.render_mpoly_latex(sp.power_dict(), names)}"
         )
         return 0
     print(f"prediction for d={sp.d}, g={sp.g} (n={sp.n} marked points)")
-    print(f"P({', '.join(names)}) = {render_mpoly_text(sp.power_dict(), names)}")
+    print(f"P({', '.join(names)}) = {render.render_mpoly_text(sp.power_dict(), names)}")
     print("falling-basis coefficients:")
     for exps, c in sp.falling:
         label = ",".join(str(a) for a in exps)
@@ -162,7 +153,7 @@ def cmd_intersect(args) -> int:
 
 def cmd_verify_all(args) -> int:
     echo = print if args.format == "text" else None
-    summary = run_suite(args.level, cache_dir=args.cache_dir, echo=echo)
+    summary = verify.run_suite(args.level, cache_dir=args.cache_dir, echo=echo)
     if args.format == "json":
         _emit_json(summary.to_json_dict())
     else:

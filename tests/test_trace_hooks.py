@@ -8,6 +8,7 @@ benchmark runs; this catches it in the test suite.
 
 import importlib
 import importlib.util
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -58,3 +59,26 @@ def test_memos_are_fock_lru_caches():
     for prefix, attr in traced.MEMOS.items():
         memo = getattr(fock, attr, None)
         assert callable(getattr(memo, "cache_info", None)), f"{prefix}: fock.{attr}"
+
+
+def test_traced_job_runs_a_light_command_like_the_cli(tmp_path):
+    """The tracer forces every lazily loaded module while it instruments;
+    a density request must still print the CLI's bytes and record spans."""
+    env = {"PATH": "/usr/bin:/bin",
+           "PYTHONPATH": str(Path(qkdv.__file__).resolve().parent.parent)}
+    argv = ["hamiltonian", "-d", "2"]
+    plain = subprocess.run(
+        [sys.executable, "-m", "qkdv.cli", "--cache-dir", str(tmp_path / "plain"),
+         *argv],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    out = tmp_path / "trace.json"
+    traced = subprocess.run(
+        [sys.executable, str(TRACED_JOB), str(out),
+         "--cache-dir", str(tmp_path / "traced"), *argv],
+        capture_output=True, text=True, env=env,
+    )
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    names = {span[0] for span in json.loads(out.read_text())["spans"]}
+    assert {"hierarchy.wang_hamiltonian", "render"} <= names
