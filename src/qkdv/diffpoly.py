@@ -28,7 +28,7 @@ phase (-i)^h: :data:`PHASE` applies it and :func:`unphased` strips it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .scalars import I, MINUS_I, ONE, Scalar, SparseMap, accumulate, as_scalar
@@ -40,18 +40,13 @@ class OddPowerError(ValueError):
     """The jet-scaling substitution met a monomial of odd total jet weight."""
 
 
-@dataclass(frozen=True)
-class Bidegree:
-    grade: int
-    weight: int
+Bidegree = namedtuple("Bidegree", "grade weight")
 
 
-@dataclass(frozen=True)
-class DiffMonomial:
+class DiffMonomial(namedtuple("DiffMonomial", "uexp hbar", defaults=((), 0))):
     """A product of jet variables and a power of hbar (coefficient-free)."""
 
-    uexp: tuple[tuple[int, int], ...] = ()
-    hbar: int = 0
+    __slots__ = ()
 
     @staticmethod
     def make(uexp=(), hbar: int = 0) -> DiffMonomial:

@@ -50,7 +50,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import cache as _cache
@@ -64,19 +64,17 @@ from .diffpoly import (
     unphased,
     variational_derivative,
 )
-from .functionals import LocalFunctional, to_functional
+from .functionals import to_functional
 from .scalars import Scalar, accumulate
 
 _memo: dict[int, "HamiltonianRecord"] = {}
 _store_failed = False
 
 
-@dataclass(frozen=True)
-class SSeries:
+class SSeries(namedtuple("SSeries", "kmax coeffs")):
     """Truncated generating series: coeffs[k] is S_(k), k <= kmax."""
 
-    kmax: int
-    coeffs: tuple[DiffPoly, ...]
+    __slots__ = ()
 
     def coeff(self, k: int) -> DiffPoly:
         if not 0 <= k <= self.kmax:
@@ -84,11 +82,7 @@ class SSeries:
         return self.coeffs[k]
 
 
-@dataclass(frozen=True)
-class HamiltonianRecord:
-    d: int
-    density: DiffPoly
-    functional: LocalFunctional
+HamiltonianRecord = namedtuple("HamiltonianRecord", "d density functional")
 
 
 def _times_u(uexp: tuple, s: int) -> tuple:

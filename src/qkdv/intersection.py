@@ -4,11 +4,13 @@ Each monomial of the d-th density encodes one coefficient: writing a
 monomial as (-i*hbar)^g * c * prod_j u_j^{a_j} with n = sum a_j factors, the
 number K = c * prod_j a_j! is the coefficient, in the falling-factorial
 basis, of the degree-2g polynomial attached to the (g, n)-stratum family.
-Assembling all jet tuples of a fixed g (symmetrized over orderings) yields
-that polynomial in n variables; converting falling factorials to ordinary
-powers is a per-variable Stirling transform, so each power-basis term of a
-monomial is its coefficient times one product of per-variable Stirling
-numbers.
+Assembling all jet tuples of a fixed g, each distinct ordering once in
+ascending order, yields that polynomial in n variables.  Converting falling
+factorials to ordinary powers is a per-variable Stirling transform, which
+commutes with permuting the variables: it runs on one sorted jet tuple t per
+orbit, weighted K / stab(t) (stab(t) = prod of t's multiplicities'
+factorials), folds each output key into its sorted orbit and spreads each
+orbit's sum times stab over that orbit's distinct orderings.
 
 Extraction checks, per monomial, the constraint n = d + 2 - 2g and that c is
 real (psi-integrals over double ramification cycles are rational), so
@@ -19,10 +21,10 @@ Reassembling the density from the table must reproduce it bit-exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import groupby, product
 
 from .diffpoly import PHASE, DiffMonomial, DiffPoly, unphased
 from .hierarchy import wang_hamiltonian
@@ -89,12 +91,10 @@ def falling_convert(poly: MPoly, direction: str) -> MPoly:
     return {key: c for key, c in out.items() if c}
 
 
-@dataclass(frozen=True)
-class FallingCoeffTable:
+class FallingCoeffTable(namedtuple("FallingCoeffTable", "d entries")):
     """Coefficients K keyed by (g, ascending jet tuple) for one index d."""
 
-    d: int
-    entries: dict[tuple[int, tuple[int, ...]], Fraction]
+    __slots__ = ()
 
     def genera(self) -> list[int]:
         return sorted({g for g, _ in self.entries})
@@ -137,24 +137,32 @@ def reassemble_density(table: FallingCoeffTable) -> DiffPoly:
 
 
 def _distinct_permutations(items: tuple[int, ...]):
-    """Each distinct ordering of a multiset once: n!/prod e_j! of them, not n!."""
-    if not items:
-        yield ()
-    for x in sorted(set(items)):
-        i = items.index(x)
-        for tail in _distinct_permutations(items[:i] + items[i + 1 :]):
-            yield (x,) + tail
+    """Each distinct ordering of a multiset once, ascending: n!/prod e_j! of them."""
+    a = sorted(items)
+    while True:
+        yield tuple(a)
+        # the rightmost ascent a[i] < a[i+1]; none left means a is descending
+        i = len(a) - 2
+        while i >= 0 and a[i] >= a[i + 1]:
+            i -= 1
+        if i < 0:
+            return
+        j = len(a) - 1
+        while a[j] <= a[i]:
+            j -= 1
+        a[i], a[j] = a[j], a[i]
+        a[i + 1 :] = a[:i:-1]
 
 
-@dataclass(frozen=True)
-class StrataPolynomial:
-    """The predicted polynomial for one (d, g), in both bases."""
+def _stab(t: tuple[int, ...]) -> int:
+    """Product of the multiplicities' factorials of a sorted tuple: n!/orbit size."""
+    return math.prod([math.factorial(len(list(run))) for _, run in groupby(t)])
 
-    d: int
-    g: int
-    n: int
-    falling: tuple[tuple[tuple[int, ...], Fraction], ...]
-    power: tuple[tuple[tuple[int, ...], Fraction], ...]
+
+class StrataPolynomial(namedtuple("StrataPolynomial", "d g n falling power")):
+    """The predicted polynomial for one (d, g), in both bases, key-sorted."""
+
+    __slots__ = ()
 
     def falling_dict(self) -> MPoly:
         return dict(self.falling)
@@ -201,21 +209,23 @@ def assemble_polynomial(d: int, g: int, cache_dir=None) -> StrataPolynomial:
         )
     if g < 0:
         raise ValueError("g must be >= 0")
-    table = extract_coeff_table(d, cache_dir)
+    reps = extract_coeff_table(d, cache_dir).for_genus(g)
     # each ordering sorts back to one jets tuple, and no table entry is zero
-    falling = {
-        perm: K
-        for jets, K in table.for_genus(g).items()
-        for perm in _distinct_permutations(jets)
-    }
-    power = falling_convert(falling, "to_power")
-    return StrataPolynomial(
-        d=d,
-        g=g,
-        n=n,
-        falling=_canonical_mpoly(falling),
-        power=_canonical_mpoly(power),
+    falling = {p: K for jets, K in reps.items() for p in _distinct_permutations(jets)}
+    # the transform commutes with permutations: convert the orbit
+    # representatives, fold each output key into its orbit, spread it back
+    orbits = accumulate(
+        (tuple(sorted(u)), c)
+        for u, c in falling_convert(
+            {jets: K / _stab(jets) for jets, K in reps.items()}, "to_power"
+        ).items()
     )
+    power = {}
+    for t, c in orbits.items():
+        if c:
+            c *= _stab(t)
+            power.update(dict.fromkeys(_distinct_permutations(t), c))
+    return StrataPolynomial(d, g, n, _canonical_mpoly(falling), _canonical_mpoly(power))
 
 
 def _closed_form(n: int, g: int, with_sum_factor: bool = True) -> MPoly:

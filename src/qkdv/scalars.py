@@ -15,7 +15,7 @@ equality of the stored dicts is value equality.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -27,12 +27,10 @@ def _frac(x) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-@dataclass(frozen=True)
-class Scalar:
-    """A Gaussian rational ``re + im*i`` with exact components."""
+class Scalar(namedtuple("Scalar", "re im", defaults=(Fraction(0), Fraction(0)))):
+    """A Gaussian rational ``re + im*i`` with exact Fraction components."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ()
 
     @staticmethod
     def of(re, im=0) -> Scalar:

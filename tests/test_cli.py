@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exit codes, cache behavior."""
 
 import errno
+import hashlib
 import json
 import subprocess
 import sys
@@ -139,6 +140,24 @@ def test_intersect_json(capsys):
     assert doc["d"] == 2 and doc["g"] == 1 and doc["n"] == 2
     assert doc["prediction"] is True
     assert doc["falling"]["(1,1)"] == "1/12"
+
+
+# sha256 of `intersect -d D -g G --format json` stdout, frozen before the
+# power table was folded over orbits; n = 10, 11, 8 and 10 variables
+FROZEN_INTERSECT_SHA256 = {
+    (12, 2): "79fed802373243b4b88dce22838cf14062cbb732cbae8c6192a2040e1325cac7",
+    (13, 2): "7ff336cc0c24b3641b28b129418c4f1bb182788e93f4c3e0a99720744d3337f1",
+    (14, 4): "d7105c3d5c97184e9ad7fb91061d7c44350339353b00f62bf330e4e213b37046",
+    (16, 4): "7089de7d6da251aae06872fd1c4f1599c5bc142d77ccdb7c95258112bd7b8ff6",
+}
+
+
+def test_intersect_json_keeps_its_bytes_beyond_the_benchmark(capsys):
+    for (d, g), digest in FROZEN_INTERSECT_SHA256.items():
+        code, out, _ = run(capsys, "intersect", "-d", str(d), "-g", str(g),
+                           "--format", "json")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, g)
 
 
 def test_intersect_dimension_error(capsys):

@@ -1,7 +1,6 @@
 """Free-boson realization: oracle checks, integrability, calibration."""
 
 import collections
-import dataclasses
 import itertools
 import random
 
@@ -469,7 +468,7 @@ def test_commutator_witness_with_mixed_denominators(monkeypatch):
         if d != 2:
             return record
         extra = DiffPoly.term(Scalar.of(0, "-1/7"), ((1, 2),), hbar=1)
-        return dataclasses.replace(record, density=record.density + extra)
+        return record._replace(density=record.density + extra)
 
     monkeypatch.setattr("qkdv.fock.wang_hamiltonian", forged)
     with pytest.raises(CommutatorNonzero) as info:

@@ -1,12 +1,11 @@
 """Predicted intersection polynomials and the coefficient inversion."""
 
 import time
-from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qkdv import (
@@ -17,6 +16,7 @@ from qkdv import (
     reassemble_density,
     wang_hamiltonian,
 )
+from qkdv import intersection
 from qkdv.intersection import _closed_form, _distinct_permutations
 
 
@@ -173,6 +173,39 @@ def test_distinct_permutations_match_itertools():
         assert set(got) == set(permutations(items))
 
 
+@given(st.lists(st.integers(min_value=0, max_value=3), max_size=7).map(tuple))
+@example(())
+@example((2, 0, 1, 0))
+def test_distinct_permutations_ascending(items):
+    """The next-permutation walk lists each distinct ordering once, ascending,
+    whatever order the multiset comes in."""
+    assert list(_distinct_permutations(items)) == sorted(set(permutations(items)))
+
+
+# every (d, g) with d <= 12 and 1 <= n <= 8
+FOLD_CASES = [
+    (d, g) for d in range(-1, 13) for g in range(7) if 1 <= d + 2 - 2 * g <= 8
+]
+
+
+def test_orbit_fold_equals_the_unfolded_transform():
+    """The power table, converted once per orbit and spread over orderings,
+    equals the per-monomial Stirling transform of the printed falling table."""
+    for d, g in FOLD_CASES:
+        sp = assemble_polynomial(d, g)
+        assert sp.power_dict() == falling_convert(sp.falling_dict(), "to_power"), (d, g)
+
+
+def test_orbit_fold_needs_the_stabilizer_weights(monkeypatch):
+    """Negative control: with stab(t) = 1 some power table is wrong."""
+    monkeypatch.setattr(intersection, "_stab", lambda t: 1)
+    assert any(
+        assemble_polynomial(d, g).power_dict()
+        != falling_convert(assemble_polynomial(d, g).falling_dict(), "to_power")
+        for d, g in FOLD_CASES
+    )
+
+
 def test_assembly_against_full_symmetrization():
     """The falling table is the symmetrization over all n! orderings."""
     for d in range(-1, 9):
@@ -213,7 +246,7 @@ def test_symmetry_check_within_budget_and_rejects_asymmetry():
     altered = dict(power)
     altered[key] = altered[key] + s(1)
     for poly in (missing, altered):
-        broken = replace(sp, power=tuple(sorted(poly.items())))
+        broken = sp._replace(power=tuple(sorted(poly.items())))
         assert not broken.is_symmetric()
 
 

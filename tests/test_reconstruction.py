@@ -1,7 +1,7 @@
 """Rebuilding Hamiltonians from commutation constraints alone."""
 
 import json
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -143,7 +143,7 @@ def wrong_first_hamiltonian(monkeypatch):
     def substituted(d, cache_dir=None):
         record = true(d, cache_dir)
         if d == 1:
-            record = replace(record, density=record.density + u(1, 2))
+            record = record._replace(density=record.density + u(1, 2))
         return record
 
     qkdv.reconstruction._solve.cache_clear()
