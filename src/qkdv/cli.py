@@ -60,19 +60,14 @@ def cmd_hamiltonian(args) -> int:
 def cmd_s_series(args) -> int:
     series = hierarchy.s_series(args.kmax)
     if args.format == "json":
-        payload = {
-            "kmax": args.kmax,
-            "coefficients": [
-                diffpoly.to_json_dict(series.coeff(k)) for k in range(args.kmax + 1)
-            ],
-        }
-        _emit_json(payload)
+        coeffs = [diffpoly.to_json_dict(c) for c in series.coeffs]
+        _emit_json({"kmax": args.kmax, "coefficients": coeffs})
         return 0
-    for k in range(args.kmax + 1):
+    for k, c in enumerate(series.coeffs):
         if args.format == "latex":
-            print(f"S_{{({k})}} = {render.render_poly_latex(series.coeff(k))}")
+            print(f"S_{{({k})}} = {render.render_poly_latex(c)}")
         else:
-            print(f"S_({k}) = {render.render_poly_text(series.coeff(k))}")
+            print(f"S_({k}) = {render.render_poly_text(c)}")
     return 0
 
 

@@ -22,7 +22,7 @@ lowers weight by one.
 The deterministic monomial order (used for serialization and rendering) is
 graded lexicographic on ``(hbar exponent, total u-degree, flattened jet
 list)``.  A density's coefficient at hbar^h is a real rational times the
-phase (-i)^h: :data:`PHASE` applies it and :func:`unphased` strips it.
+phase (-i)^h: :func:`phased` applies it and :func:`unphased` strips it.
 """
 
 from __future__ import annotations
@@ -294,21 +294,26 @@ def scale_substitute(f: DiffPoly) -> DiffPoly:
     even, so the result picks up (-i*hbar)^(t/2) and no radical is ever
     stored.  Odd t raises :class:`OddPowerError`.
     """
-    pairs = []
+    out = {}
     for mono, c in f.terms():
         t = mono.jet_weight()
         if t % 2:
             raise OddPowerError(f"odd total jet weight {t} in monomial {mono}")
-        half = t // 2
-        pairs.append((DiffMonomial(mono.uexp, mono.hbar + half), c * PHASE[half % 4]))
-    return DiffPoly(accumulate(pairs))
+        # u_j -> lam^j u_j keeps the jets, so distinct monomials stay distinct
+        out[DiffMonomial(mono.uexp, mono.hbar + t // 2)] = phased(c, t // 2)
+    return DiffPoly(out)
+
+
+def phased(c: Scalar, h: int) -> Scalar:
+    """c * (-i)^h as a swap: (re, im) -> (re, im), (im, -re), (-re, -im), (-im, re)."""
+    re, im = (c.im, -c.re) if h % 2 else c
+    return Scalar(-re, -im) if h % 4 > 1 else Scalar(re, im)
 
 
 def unphased(mono: DiffMonomial, c: Scalar) -> Fraction | None:
     """The real x with c = x * (-i)^h, h the hbar power of mono; None if none."""
-    h = mono.hbar % 4
-    # an even h leaves c.im zero, an odd one c.re
-    return None if (c.re, c.im)[1 - h % 2] else (c.re, -c.im, -c.re, c.im)[h]
+    x = phased(c, -mono.hbar)
+    return None if x.im else x.re
 
 
 # -- serialization ---------------------------------------------------------

@@ -19,17 +19,18 @@ relations for double ramification hierarchies", Comm. Math. Phys. 342,
 
     sum_d H_d z^(d+2) = scale( Sh(z dx) (G(z) - 1) ),
 
-so H_d = scale( sum_k dx^(2k) G_(d+2-2k) / (4^k (2k+1)!) ): the DR density
-scale(G_d) plus explicit total derivatives.  Derivation, with x = z dx:
-S(z) = exp(z (e^x - 1)/x u) and G(z) = exp(z Sh(x) u); the sum defining H_d
-is the z^(d+2) coefficient of scale((1 - e^-x)/x (S - 1)).  Since
-(e^x - 1)/x = e^(x/2) Sh(x), (1 - e^-x)/x = e^(-x/2) Sh(x), and the shift
-e^(x/2) is a ring automorphism fixing 1, S - 1 = e^(x/2) (G - 1) and the
-identity follows.
+so H_d = scale( sum_k dx^(2k) G_(d+2-2k) / (4^k (2k+1)!) ): scale(G_(d+2)),
+which is not the Buryak-Rossi DR density, plus explicit total derivatives.
+Derivation, with x = z dx: S(z) = exp(z (e^x - 1)/x u) and G(z) =
+exp(z Sh(x) u); the sum defining H_d is the z^(d+2) coefficient of
+scale((1 - e^-x)/x (S - 1)).  Since (e^x - 1)/x = e^(x/2) Sh(x),
+(1 - e^-x)/x = e^(-x/2) Sh(x), and the shift e^(x/2) is a ring automorphism
+fixing 1, S - 1 = e^(x/2) (G - 1) and the identity follows.
 
-The expansion runs over Q: G and the Horner sum in dx^2 are rational jet
-polynomials, plain {jet exponents: Fraction} maps with no hbar.  The phase
-(-i)^h enters last, in :func:`~qkdv.diffpoly.scale_substitute`.
+The expansion runs over Z: the exp recursion gives F_k = k! L^k G_k, L the lcm
+of the denominators in G's exponent, and the Horner sum in dx^2 runs over one
+common denominator n! L^(n+1), n = d + 2, divided once per monomial.  The
+phase (-i)^h enters last, as a swap, in :func:`~qkdv.diffpoly.scale_substitute`.
 
 Conventions pinned here (and verified by the suite):
 
@@ -92,23 +93,26 @@ def _times_u(uexp: tuple, s: int) -> tuple:
     return tuple(sorted(jets.items()))
 
 
-def _exp_series(kmax: int, arg: dict) -> list[dict]:
-    """exp(sum_j a_j u_(s_j) z^j) through z^kmax over Q; arg maps j to (s_j, a_j).
+def _exp_series(kmax: int, arg: dict) -> tuple[int, list[dict]]:
+    """exp(sum_j a_j u_(s_j) z^j) through z^kmax over Z; arg maps j to (s_j, a_j).
 
-    Each E_k is a rational jet polynomial {jet exponents: Fraction}.  E' = A'E
-    gives k E_k = sum_j j a_j u_(s_j) E_(k-j): one jet joins each term.
+    Returns L, the lcm of the a_j's denominators, and the int jet polynomials
+    F_k = k! L^k E_k: by E' = A'E, F_k = sum_j j L^j a_j (k-1)!/(k-j)! u_(s_j) F_(k-j).
     """
-    out = [{(): Fraction(1)}]
+    lcm = math.lcm(*(a.denominator for _, a in arg.values()))
+    weights = {j: (s, j * (a * lcm**j).numerator) for j, (s, a) in arg.items()}
+    out = [{(): 1}]
     for k in range(1, kmax + 1):
-        steps = [(s, a * j / k, out[k - j]) for j, (s, a) in arg.items() if j <= k]
+        steps = [(s, w * math.perm(k - 1, j - 1), out[k - j])
+                 for j, (s, w) in weights.items() if j <= k]
         pairs = ((_times_u(m, s), c * f) for s, f, e in steps for m, c in e.items())
         out.append(accumulate(pairs))
-    return out
+    return lcm, out
 
 
-def _as_diffpoly(terms: dict) -> DiffPoly:
-    """A rational jet polynomial as an hbar-free DiffPoly."""
-    return DiffPoly({DiffMonomial(m): Scalar(c) for m, c in terms.items()})
+def _as_diffpoly(terms: dict, den: int) -> DiffPoly:
+    """Integer jet polynomial / den, hbar-free: the one Fraction per monomial."""
+    return DiffPoly({DiffMonomial(m): Scalar(Fraction(c, den)) for m, c in terms.items()})
 
 
 def s_series(kmax: int) -> SSeries:
@@ -116,7 +120,9 @@ def s_series(kmax: int) -> SSeries:
     if kmax < 0:
         raise ValueError("kmax must be nonnegative")
     arg = {j + 1: (j, Fraction(1, math.factorial(j + 1))) for j in range(kmax)}
-    return SSeries(kmax, tuple(map(_as_diffpoly, _exp_series(kmax, arg))))
+    lcm, f = _exp_series(kmax, arg)
+    dens = (math.factorial(k) * lcm**k for k in range(kmax + 1))
+    return SSeries(kmax, tuple(map(_as_diffpoly, f, dens)))
 
 
 def _dr_coefficient(k: int) -> int:
@@ -124,8 +130,8 @@ def _dr_coefficient(k: int) -> int:
     return 4**k * math.factorial(2 * k + 1)
 
 
-def _dr_series(kmax: int) -> list[dict]:
-    """G_0..G_kmax of G(z) = exp(sum_k u_(2k) z^(2k+1) / (4^k (2k+1)!))."""
+def _dr_series(kmax: int) -> tuple[int, list[dict]]:
+    """L and F_0..F_kmax of G(z) = exp(sum_k u_(2k) z^(2k+1) / (4^k (2k+1)!))."""
     ks = range((kmax + 1) // 2)
     arg = {2 * k + 1: (2 * k, Fraction(1, _dr_coefficient(k))) for k in ks}
     return _exp_series(kmax, arg)
@@ -177,15 +183,17 @@ def wang_hamiltonian(d: int, cache_dir=None) -> HamiltonianRecord:
 
 
 def _expand_density(d: int) -> DiffPoly:
-    """scale(sum_k dx^(2k) G_(d+2-2k) / (4^k (2k+1)!)), Horner in dx^2 over Q."""
-    g = _dr_series(d + 2)
+    """scale(sum_k dx^(2k) G_(d+2-2k) / (4^k (2k+1)!)), Horner in dx^2 over Z."""
+    n = d + 2
+    lcm, f = _dr_series(n)
     acc: dict = {}
     for k in range((d + 1) // 2, -1, -1):
         for _ in range(2):
             acc = accumulate((m, c * e) for u, c in acc.items() for m, e in leibniz(u))
-        c_k = _dr_coefficient(k)
-        acc = accumulate(((m, c / c_k) for m, c in g[d + 2 - 2 * k].items()), acc)
-    return scale_substitute(_as_diffpoly(acc))
+        # times n! L^(n+1), G_(n-2k) / (4^k (2k+1)!) is F_(n-2k) times this int
+        c_k = math.perm(n, 2 * k) * lcm ** (2 * k + 1) // _dr_coefficient(k)
+        acc = accumulate(((m, c * c_k) for m, c in f[n - 2 * k].items()), acc)
+    return scale_substitute(_as_diffpoly(acc, math.factorial(n) * lcm ** (n + 1)))
 
 
 def clear_memory_memo() -> None:

@@ -13,8 +13,10 @@ factorials), folds each output key into its sorted orbit and spreads each
 orbit's sum times stab over that orbit's distinct orderings.
 
 Extraction checks, per monomial, the constraint n = d + 2 - 2g and that c is
-real (psi-integrals over double ramification cycles are rational), so
-``diffpoly.unphased`` strips the phase once and tables hold ``Fraction``s.
+real, so ``diffpoly.unphased`` strips the phase once and tables hold
+``Fraction``s.  Keyed by exponents, the falling table is [z^(2g)] S(sum a * z)
+prod S(a_i z), S(x) = sinh(x/2)/(x/2) (:func:`_closed_form`); a psi-integral
+over a double ramification cycle would be [z^(2g)] prod S(a_i z) / S(z).
 Reassembling the density from the table must reproduce it bit-exactly.
 """
 

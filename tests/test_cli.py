@@ -160,6 +160,22 @@ def test_intersect_json_keeps_its_bytes_beyond_the_benchmark(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, g)
 
 
+# sha256 of `s-series -k 12` stdout per format, frozen while the series was
+# still expanded over Q
+FROZEN_S_SERIES_SHA256 = {
+    "json": "137cd20fcbc698efe018a887fe98f08f1f498a10f07d738a6cc27d29455b06d2",
+    "text": "d23cbe3cc18f59e1ae2ca5e93c1d578847cc699ce8ffcb36fda1e29895d6f2c9",
+    "latex": "c6eeb74f30f74c7f5b04ce1586e856b7d6ab8ad6c2f90ad526acbff7f34f9f47",
+}
+
+
+def test_s_series_keeps_its_bytes(capsys):
+    for fmt, digest in FROZEN_S_SERIES_SHA256.items():
+        code, out, _ = run(capsys, "s-series", "-k", "12", "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
+
+
 def test_intersect_dimension_error(capsys):
     code, out, err = run(capsys, "intersect", "-d", "0", "-g", "5")
     assert code == 2

@@ -21,7 +21,7 @@ from qkdv import (
     to_json_dict,
     variational_derivative,
 )
-from qkdv.diffpoly import Bidegree, DiffMonomial
+from qkdv.diffpoly import PHASE, Bidegree, DiffMonomial
 
 from conftest import diff_polys, small_scalar, stores_no_zero
 
@@ -134,6 +134,27 @@ def test_scale_substitute_even_weights():
     assert scale_substitute(u(0, 4)) == u(0, 4)
     # (-i)^2 = -1 at jet weight 4
     assert scale_substitute(u(2, 2)) == DiffPoly.term(-1, ((2, 2),), hbar=2)
+
+
+# u_t times squares u_s^2 and an hbar power: jet weight t mod 8 is 0, 2, 4 or 6
+even_weight_monomials = st.builds(
+    lambda t, squares, h: DiffMonomial.make([(t, 1)] + [(s, 2) for s in squares], h),
+    st.integers(min_value=0, max_value=7).map(lambda k: 2 * k),
+    st.lists(st.integers(min_value=0, max_value=4), max_size=2),
+    st.integers(min_value=0, max_value=2),
+)
+
+
+@given(st.dictionaries(even_weight_monomials, small_scalar, min_size=1, max_size=4))
+def test_scale_substitute_is_the_phase_product_term_by_term(terms):
+    # the phase is applied as a swap; the Q(i) product is the reference
+    got = scale_substitute(DiffPoly(terms))
+    assert len(got) == len(terms)
+    for mono, c in terms.items():
+        assert c.re and c.im
+        half = mono.jet_weight() // 2
+        image = DiffMonomial(mono.uexp, mono.hbar + half)
+        assert got.coefficient(image) == c * PHASE[half % 4]
 
 
 def test_scale_substitute_rejects_odd_weight():

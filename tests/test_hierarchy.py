@@ -190,7 +190,10 @@ def test_cache_round_trip(tmp_cache):
     assert fresh.density == rec.density
 
 
-# -- the paper's theorem: Wang's densities against the DR-side series --------
+# -- Wang's densities against scale(G_(d+2)), the trivial-CohFT series --------
+# scale(G_(d+2)) is not the Buryak-Rossi DR density: it fails the DR
+# recursion.  These tests state what holds for it: it differs from H_d by a
+# total derivative.
 
 
 def wang_literal(d):
@@ -206,18 +209,21 @@ def wang_literal(d):
 
 
 def dr_density(d, base=4, unit=MI):
-    """scale(G_d), G(z) = exp(sum_k u_(2k) z^(2k+1) / (base^k (2k+1)!)).
+    """scale(G_(d+2)), G(z) = exp(sum_k u_(2k) z^(2k+1) / (base^k (2k+1)!)).
 
-    The scaling sends u_(2k) to (unit*hbar)^k u_(2k); the theorem has
-    base 4 and unit -i.
+    The scaling sends u_(2k) to (unit*hbar)^k u_(2k).  Base 4 and unit -i
+    give the series the densities are expanded from; the result is
+    scale(G_(d+2)), not the Buryak-Rossi DR density.
     """
     arg = {}
     for k in range((d + 3) // 2):
         arg[2 * k + 1] = (2 * k, Fraction(1, base**k * math.factorial(2 * k + 1)))
+    lcm, f = _exp_series(d + 2, arg)
+    den = math.factorial(d + 2) * lcm ** (d + 2)
     out = DiffPoly.zero()
-    for uexp, c in _exp_series(d + 2, arg)[d + 2].items():
+    for uexp, c in f[d + 2].items():
         half = sum(s * e for s, e in uexp) // 2
-        out = out + DiffPoly.term(c * unit**half, uexp, half)
+        out = out + DiffPoly.term(Fraction(c, den) * unit**half, uexp, half)
     return out
 
 
@@ -249,14 +255,18 @@ def test_densities_beyond_the_literal_check_keep_their_bytes(tmp_cache):
     clear_memory_memo()
 
 
-def test_expansion_is_rational_until_scale_substitute(monkeypatch):
+def test_expansion_is_integral_until_one_division(monkeypatch):
     for n in range(25):
-        assert all(type(c) is Fraction for g in _dr_series(n) for c in g.values())
+        lcm, f = _dr_series(n)
+        assert type(lcm) is int
+        assert all(type(c) is int for g in f for c in g.values())
     expected = {d: wang_hamiltonian(d).density for d in range(-1, 19)}
     wrapped, scaled = [], []
     as_diffpoly, substitute = hierarchy._as_diffpoly, hierarchy.scale_substitute
     monkeypatch.setattr(
-        hierarchy, "_as_diffpoly", lambda t: wrapped.append(t) or as_diffpoly(t)
+        hierarchy,
+        "_as_diffpoly",
+        lambda t, den: wrapped.append((t, den)) or as_diffpoly(t, den),
     )
     monkeypatch.setattr(
         hierarchy, "scale_substitute", lambda f: scaled.append(f) or substitute(f)
@@ -264,7 +274,10 @@ def test_expansion_is_rational_until_scale_substitute(monkeypatch):
     for d, density in expected.items():
         assert hierarchy._expand_density(d) == density
     assert len(wrapped) == len(scaled) == 20
-    assert all(type(c) is Fraction for t in wrapped for c in t.values())
+    # the Horner sum reaches the one division as ints over an int
+    assert all(type(den) is int for _, den in wrapped)
+    assert all(type(c) is int for t, _ in wrapped for c in t.values())
+    assert [sum(map(bool, t.values())) for t, _ in wrapped] == list(map(len, scaled))
     assert all(c.is_real() for f in scaled for _, c in f.terms())
 
 
