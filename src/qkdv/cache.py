@@ -1,4 +1,9 @@
-"""On-disk cache for computed Hamiltonian densities.
+"""On-disk cache for computed Hamiltonian densities, and where it lives.
+
+This module alone decides the directory: the ``--cache-dir`` of the running
+command (:func:`choose_dir`, set by the CLI for the length of one command),
+else a non-empty ``$QKDV_CACHE``, else ``./.qkdv-cache``.  The choice is read
+on every memo miss, so API callers pick the directory with ``$QKDV_CACHE``.
 
 Everything stored here is derived data: deleting the cache directory changes
 nothing but runtime.  Entries are keyed by the index d and the engine
@@ -23,19 +28,21 @@ from .diffpoly import DiffPoly, from_json_dict, to_json_dict
 
 ENV_VAR = "QKDV_CACHE"
 DEFAULT_DIR = ".qkdv-cache"
+_chosen = None  # the running command's --cache-dir, when it gave one
 
 
-def resolve_cache_dir(explicit: str | os.PathLike | None = None) -> Path:
-    if explicit is not None:
-        return Path(explicit)
-    env = os.environ.get(ENV_VAR)
-    if env:
-        return Path(env)
-    return Path(DEFAULT_DIR)
+def choose_dir(explicit: str | os.PathLike | None) -> str | os.PathLike | None:
+    """Make ``explicit`` (None: no ``--cache-dir``) the choice; return the old one."""
+    global _chosen
+    previous, _chosen = _chosen, explicit
+    return previous
 
 
-def wang_path(cache_dir: Path, d: int) -> Path:
-    return cache_dir / "wang" / f"H_{d}.json"
+def density_path(d: int) -> Path:
+    """The cache entry of H_d in the chosen directory."""
+    if _chosen is None:
+        return Path(os.environ.get(ENV_VAR) or DEFAULT_DIR, "wang", f"H_{d}.json")
+    return Path(_chosen, "wang", f"H_{d}.json")
 
 
 def _checksum(terms) -> str:

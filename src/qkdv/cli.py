@@ -22,7 +22,9 @@ import sys
 
 # fock, intersection, reconstruction and verify load on first attribute
 # access (see qkdv/__init__.py), so each command reads them only when it runs.
-from . import diffpoly, fock, hierarchy, intersection, reconstruction, render, verify
+from . import (
+    cache, diffpoly, fock, hierarchy, intersection, reconstruction, render, verify,
+)
 from ._version import ENGINE_VERSION
 
 
@@ -45,7 +47,7 @@ def _emit_json(payload: dict) -> None:
 
 
 def cmd_hamiltonian(args) -> int:
-    record = hierarchy.wang_hamiltonian(args.d, args.cache_dir)
+    record = hierarchy.wang_hamiltonian(args.d)
     if args.format == "json":
         payload = {"d": args.d, "engine": ENGINE_VERSION}
         payload.update(diffpoly.to_json_dict(record.density))
@@ -73,7 +75,7 @@ def cmd_s_series(args) -> int:
 
 def cmd_commute(args) -> int:
     try:
-        report = fock.check_commute(args.d1, args.d2, args.mmax, args.cache_dir)
+        report = fock.check_commute(args.d1, args.d2, args.mmax)
     except fock.CommutatorNonzero as exc:
         _emit_json(exc.witness_dict())
         return 1
@@ -90,7 +92,7 @@ def cmd_commute(args) -> int:
 def cmd_reconstruct(args) -> int:
     try:
         functional, cert = reconstruction.reconstruct_with_certificate(
-            args.d, args.G, mmax=args.mmax, cache_dir=args.cache_dir
+            args.d, args.G, args.mmax
         )
     except (
         reconstruction.UnderdeterminedError,
@@ -101,9 +103,7 @@ def cmd_reconstruct(args) -> int:
     payload = cert.to_json_dict()
     matches = True
     if args.compare:
-        matches = reconstruction.compare_with_wang(
-            args.d, args.G, args.mmax, args.cache_dir
-        )
+        matches = reconstruction.compare_with_wang(args.d, args.G, args.mmax)
         payload["matches_closed_form"] = matches
     _emit_json(payload)
     return 0 if matches else 1
@@ -111,7 +111,7 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_intersect(args) -> int:
     try:
-        sp = intersection.assemble_polynomial(args.d, args.g, args.cache_dir)
+        sp = intersection.assemble_polynomial(args.d, args.g)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -148,7 +148,7 @@ def cmd_intersect(args) -> int:
 
 def cmd_verify_all(args) -> int:
     echo = print if args.format == "text" else None
-    summary = verify.run_suite(args.level, cache_dir=args.cache_dir, echo=echo)
+    summary = verify.run_suite(args.level, echo=echo)
     if args.format == "json":
         _emit_json(summary.to_json_dict())
     else:
@@ -218,7 +218,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    # --cache-dir holds for this command only, so no later API call inherits it
+    previous = cache.choose_dir(args.cache_dir)
+    try:
+        return args.func(args)
+    finally:
+        cache.choose_dir(previous)
 
 
 if __name__ == "__main__":

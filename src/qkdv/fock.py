@@ -49,8 +49,7 @@ kernel builds a Scalar, SectorScalar or FockVector.
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import asdict, dataclass
+from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -108,11 +107,10 @@ class MismatchError(Exception):
         }
 
 
-@dataclass(frozen=True, order=True)
-class Partition:
+class Partition(namedtuple("Partition", "parts", defaults=((),))):
     """A multiset of positive mode numbers, stored descending."""
 
-    parts: tuple[int, ...] = ()
+    __slots__ = ()
 
     @staticmethod
     def make(parts) -> Partition:
@@ -495,32 +493,27 @@ def single_contraction_apply(
     return _realize(_minus(_cross_once(f, g, lam), _cross_once(g, f, lam)), scale)
 
 
-@dataclass(frozen=True)
-class PairStatus:
-    d1: int
-    d2: int
-    mmax: int
-    status: str
+PairStatus = namedtuple("PairStatus", "d1 d2 mmax status")
 
 
-@dataclass
-class CommuteReport:
-    pairs: list[PairStatus]
-    witness: dict | None
-    sectors_checked: list[int]
-    max_intermediate_dimension: int
+class CommuteReport(namedtuple(
+    "CommuteReport", "pairs witness sectors_checked max_intermediate_dimension"
+)):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        out = self._asdict()
+        out["pairs"] = [pair._asdict() for pair in self.pairs]
+        return out
 
 
-def check_commute(d1: int, d2: int, mmax: int, cache_dir=None) -> CommuteReport:
+def check_commute(d1: int, d2: int, mmax: int) -> CommuteReport:
     """Verify [H_d1, H_d2] = 0 on every partition of momentum <= mmax.
 
     Raises :class:`CommutatorNonzero` with a witness on the first failure.
     """
-    f = wang_hamiltonian(d1, cache_dir).density
-    g = wang_hamiltonian(d2, cache_dir).density
+    f = wang_hamiltonian(d1).density
+    g = wang_hamiltonian(d2).density
     max_dim = 0
     for m in range(mmax + 1):
         for lam in partitions_of(m):
@@ -542,10 +535,7 @@ def check_commute(d1: int, d2: int, mmax: int, cache_dir=None) -> CommuteReport:
     )
 
 
-@dataclass
-class ConsistencyReport:
-    pairs: list[dict]
-    witness: dict | None
+ConsistencyReport = namedtuple("ConsistencyReport", "pairs witness")
 
 
 def classical_consistency(

@@ -41,10 +41,11 @@ Conventions pinned here (and verified by the suite):
 * variational recursion: d(H_d)/du = H_{d-1} for d >= 0;
 * every monomial of H_d is grade 0 and weight d+2.
 
-Computed densities are memoized in memory and on disk (see
-:mod:`qkdv.cache`); recomputation is bit-identical, which the suite checks.
-A disk entry is used only with the bidegree, classical part and phase of H_d,
-and rebuilt otherwise; a memo hit never goes back to the disk.
+Computed densities are memoized in memory and on disk, in the directory that
+:mod:`qkdv.cache` chooses (no function here takes one); recomputation is
+bit-identical, which the suite checks.  A disk entry is used only with the
+bidegree, classical part and phase of H_d, and rebuilt otherwise; a memo hit
+never goes back to the disk.
 """
 
 from __future__ import annotations
@@ -151,7 +152,7 @@ def classical_flow_rhs(n: int) -> DiffPoly:
     return DiffPoly.u(0, n) * DiffPoly.u(1) / math.factorial(n)
 
 
-def wang_hamiltonian(d: int, cache_dir=None) -> HamiltonianRecord:
+def wang_hamiltonian(d: int) -> HamiltonianRecord:
     """The d-th quantum Hamiltonian, memoized in memory and on disk.
 
     A memo hit returns without touching the disk.  A miss loads the cache
@@ -163,7 +164,7 @@ def wang_hamiltonian(d: int, cache_dir=None) -> HamiltonianRecord:
         raise ValueError("d must be >= -1")
     if d in _memo:
         return _memo[d]
-    path = _cache.wang_path(_cache.resolve_cache_dir(cache_dir), d)
+    path = _cache.density_path(d)
     density = _cache.load_density(path, d)
     # a parsed entry is trusted only with the bidegree, classical part and phase of H_d
     if density is None or not (
@@ -201,12 +202,12 @@ def clear_memory_memo() -> None:
     _memo.clear()
 
 
-def check_vder_recursion(d: int, cache_dir=None) -> bool:
+def check_vder_recursion(d: int) -> bool:
     """True iff the variational derivative of H_d equals H_{d-1} exactly."""
     if d < 0:
         raise ValueError("recursion check needs d >= 0")
-    upper = wang_hamiltonian(d, cache_dir).density
-    lower = wang_hamiltonian(d - 1, cache_dir).density
+    upper = wang_hamiltonian(d).density
+    lower = wang_hamiltonian(d - 1).density
     return variational_derivative(upper) == lower
 
 

@@ -105,9 +105,9 @@ class FallingCoeffTable(namedtuple("FallingCoeffTable", "d entries")):
         return {s: K for (gg, s), K in self.entries.items() if gg == g}
 
 
-def extract_coeff_table(d: int, cache_dir=None) -> FallingCoeffTable:
+def extract_coeff_table(d: int) -> FallingCoeffTable:
     """Invert the closed form: one rational K per monomial of the d-th density."""
-    density = wang_hamiltonian(d, cache_dir).density
+    density = wang_hamiltonian(d).density
     entries: dict[tuple[int, tuple[int, ...]], Fraction] = {}
     for mono, c in density.terms():
         g = mono.hbar
@@ -197,7 +197,7 @@ def _canonical_mpoly(p: MPoly) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
     return tuple(sorted(p.items(), key=lambda kv: kv[0]))
 
 
-def assemble_polynomial(d: int, g: int, cache_dir=None) -> StrataPolynomial:
+def assemble_polynomial(d: int, g: int) -> StrataPolynomial:
     """Symmetrize the genus-g coefficients of H_d into a polynomial.
 
     The polynomial has n = d + 2 - 2g variables; g too large for d leaves no
@@ -211,7 +211,7 @@ def assemble_polynomial(d: int, g: int, cache_dir=None) -> StrataPolynomial:
         )
     if g < 0:
         raise ValueError("g must be >= 0")
-    reps = extract_coeff_table(d, cache_dir).for_genus(g)
+    reps = extract_coeff_table(d).for_genus(g)
     # each ordering sorts back to one jets tuple, and no table entry is zero
     falling = {p: K for jets, K in reps.items() for p in _distinct_permutations(jets)}
     # the transform commutes with permutations: convert the orbit
@@ -252,6 +252,6 @@ def _closed_form(n: int, g: int, with_sum_factor: bool = True) -> MPoly:
     )
 
 
-def genus0_check(d: int, cache_dir=None) -> bool:
+def genus0_check(d: int) -> bool:
     """The genus-0 polynomial must be the constant 1 for every d."""
-    return assemble_polynomial(d, 0, cache_dir).is_constant_one()
+    return assemble_polynomial(d, 0).is_constant_one()

@@ -32,8 +32,7 @@ Each commutator is applied once, when its state's sector is added.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from dataclasses import dataclass
+from collections import defaultdict, namedtuple
 from functools import lru_cache
 from types import MappingProxyType
 
@@ -65,12 +64,10 @@ class InconsistentError(Exception):
     """No ansatz coefficients satisfy the commutation constraints."""
 
 
-@dataclass(frozen=True)
-class Ansatz:
-    d: int
-    G: int
-    classical: DiffPoly
-    blocks: tuple[tuple[DiffPoly, ...], ...]
+class Ansatz(namedtuple("Ansatz", "d G classical blocks")):
+    """The classical part of index d and one tuple of basis densities per hbar^g."""
+
+    __slots__ = ()
 
     def dimensions(self) -> dict[int, int]:
         return {g + 1: len(block) for g, block in enumerate(self.blocks)}
@@ -96,18 +93,13 @@ def build_ansatz(d: int, G: int) -> Ansatz:
     return Ansatz(d, G, classical_density(d), blocks)
 
 
-@dataclass(frozen=True)
-class ReconstructionCertificate:
+class ReconstructionCertificate(namedtuple(
+    "ReconstructionCertificate",
+    "d G ansatz_dimensions mmax_used kernel_trace verified_momenta density hbar_window",
+)):
     """Immutable, because every caller of one solve shares this object."""
 
-    d: int
-    G: int
-    ansatz_dimensions: MappingProxyType
-    mmax_used: int
-    kernel_trace: tuple[tuple[int, int], ...]
-    verified_momenta: tuple[int, ...]
-    density: DiffPoly
-    hbar_window: int | None
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {
@@ -149,17 +141,17 @@ def _window_terms(h1: DiffPoly, density: DiffPoly, lam, hmax: int | None):
 
 
 def reconstruct_with_certificate(
-    d: int, G: int, mmax: int | None = None, cache_dir=None
+    d: int, G: int, mmax: int | None = None
 ) -> tuple[LocalFunctional, ReconstructionCertificate]:
     """Solve for the density of index d through hbar^G, memoized per
-    (d, G, mmax, cache_dir) so a later comparison does not solve again."""
-    return _solve(d, G, mmax, cache_dir)
+    (d, G, mmax) so a later comparison does not solve again."""
+    return _solve(d, G, mmax)
 
 
 @lru_cache(maxsize=None)
-def _solve(d: int, G: int, mmax: int | None, cache_dir):
+def _solve(d: int, G: int, mmax: int | None):
     ansatz = build_ansatz(d, G)
-    h1 = wang_hamiltonian(1, cache_dir).density
+    h1 = wang_hamiltonian(1).density
     unknowns = ansatz.unknown_densities()
     hmax = None if _ansatz_complete(d, G) else G + 2
     start = d + 2 * G + 1
@@ -220,17 +212,15 @@ def _solve(d: int, G: int, mmax: int | None, cache_dir):
     return to_functional(density), certificate
 
 
-def reconstruct(d: int, G: int, mmax: int | None = None, cache_dir=None) -> LocalFunctional:
-    functional, _ = reconstruct_with_certificate(d, G, mmax, cache_dir)
+def reconstruct(d: int, G: int, mmax: int | None = None) -> LocalFunctional:
+    functional, _ = reconstruct_with_certificate(d, G, mmax)
     return functional
 
 
-def compare_with_wang(
-    d: int, G: int, mmax: int | None = None, cache_dir=None
-) -> bool:
+def compare_with_wang(d: int, G: int, mmax: int | None = None) -> bool:
     """Reconstructed functional equals the closed form through hbar^G."""
-    reconstructed = reconstruct(d, G, mmax, cache_dir)
-    closed = wang_hamiltonian(d, cache_dir).density
+    reconstructed = reconstruct(d, G, mmax)
+    closed = wang_hamiltonian(d).density
     lhs = to_functional(reconstructed.rep.hbar_truncate(G))
     rhs = to_functional(closed.hbar_truncate(G))
     return lhs == rhs

@@ -10,7 +10,7 @@ produce identical bytes.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from . import cache as _cache
@@ -64,17 +64,11 @@ _LEVELS = {
 _CALIBRATION_SEED = 1723
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str
+CheckResult = namedtuple("CheckResult", "name passed detail")
 
 
-@dataclass
-class VerifySummary:
-    level: str
-    results: list[CheckResult]
+class VerifySummary(namedtuple("VerifySummary", "level results")):
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -98,31 +92,31 @@ def known_first_density() -> DiffPoly:
     )
 
 
-def _check_expansion(bounds, cache_dir) -> str:
+def _check_expansion(bounds) -> str:
     dmax = bounds["ham_dmax"]
     for d in range(-1, dmax + 1):
-        record = wang_hamiltonian(d, cache_dir)
+        record = wang_hamiltonian(d)
         if record.density.hbar_coefficient(0) != classical_density(d):
             raise AssertionError(f"classical limit of H_{d} is wrong")
         if not is_homogeneous(record.density, 0, d + 2):
             raise AssertionError(f"H_{d} is not grade-0 weight-{d + 2}")
-    if wang_hamiltonian(1, cache_dir).density != known_first_density():
+    if wang_hamiltonian(1).density != known_first_density():
         raise AssertionError("H_1 differs from its frozen value")
     return f"d=-1..{dmax}: classical limits, bidegrees and frozen H_1 agree"
 
 
-def _check_first_functional(bounds, cache_dir) -> str:
+def _check_first_functional(bounds) -> str:
     lhs = to_functional(DiffPoly.u(0, 3) / 6)
-    rhs = wang_hamiltonian(1, cache_dir).functional
+    rhs = wang_hamiltonian(1).functional
     if lhs != rhs:
         raise AssertionError("H_1 functional differs from u^3/6")
     return "H_1 equals the cubic functional exactly"
 
 
-def _check_recursions(bounds, cache_dir) -> str:
+def _check_recursions(bounds) -> str:
     dmax = bounds["ham_dmax"]
     for d in range(dmax + 1):
-        if not check_vder_recursion(d, cache_dir):
+        if not check_vder_recursion(d):
             raise AssertionError(f"variational recursion fails at d={d}")
     for d in range(dmax + 1):
         for s in range(d + 2):
@@ -131,14 +125,14 @@ def _check_recursions(bounds, cache_dir) -> str:
     return f"variational recursion and series partials hold for d<={dmax}"
 
 
-def _check_integrability(bounds, cache_dir) -> str:
+def _check_integrability(bounds) -> str:
     dmax = bounds["commute_dmax"]
     mmax = bounds["commute_mmax"]
     pairs = 0
     widest = 0
     for d1 in range(-1, dmax + 1):
         for d2 in range(d1 + 1, dmax + 1):
-            report = check_commute(d1, d2, mmax, cache_dir)
+            report = check_commute(d1, d2, mmax)
             widest = max(widest, report.max_intermediate_dimension)
             pairs += 1
     return (
@@ -163,7 +157,7 @@ def random_density(rng: random.Random, max_weight: int = 6) -> DiffPoly:
     return out
 
 
-def _check_calibration(bounds, cache_dir) -> str:
+def _check_calibration(bounds) -> str:
     rng = random.Random(_CALIBRATION_SEED)
     npairs = bounds["calibration_pairs"]
     mmax = bounds["calibration_mmax"]
@@ -174,11 +168,11 @@ def _check_calibration(bounds, cache_dir) -> str:
     return f"{npairs} seeded density pairs calibrate at order hbar"
 
 
-def _check_reconstruction(bounds, cache_dir) -> str:
+def _check_reconstruction(bounds) -> str:
     cases = bounds["reconstruction"]
     for d, G in cases:
-        _, cert = reconstruct_with_certificate(d, G, cache_dir=cache_dir)
-        if not compare_with_wang(d, G, cache_dir=cache_dir):
+        _, cert = reconstruct_with_certificate(d, G)
+        if not compare_with_wang(d, G):
             raise AssertionError(f"reconstruction (d={d}, G={G}) disagrees")
         if cert.kernel_trace[-1][1] != 0:
             raise AssertionError(f"kernel not unique for (d={d}, G={G})")
@@ -186,18 +180,18 @@ def _check_reconstruction(bounds, cache_dir) -> str:
     return f"reconstructed {pretty} with zero-dimensional kernels"
 
 
-def _check_intersection(bounds, cache_dir) -> str:
+def _check_intersection(bounds) -> str:
     dmax = bounds["intersect_dmax"]
     for d in range(-1, dmax + 1):
-        table = extract_coeff_table(d, cache_dir)
-        if reassemble_density(table) != wang_hamiltonian(d, cache_dir).density:
+        table = extract_coeff_table(d)
+        if reassemble_density(table) != wang_hamiltonian(d).density:
             raise AssertionError(f"coefficient table round trip fails at d={d}")
-        if not genus0_check(d, cache_dir):
+        if not genus0_check(d):
             raise AssertionError(f"genus-0 polynomial is not 1 at d={d}")
         for g in table.genera():
             if d + 2 - 2 * g < 1:
                 continue
-            sp = assemble_polynomial(d, g, cache_dir)
+            sp = assemble_polynomial(d, g)
             if not sp.is_symmetric():
                 raise AssertionError(f"asymmetric polynomial at d={d}, g={g}")
             if sp.falling_degrees() not in (set(), {2 * g}):
@@ -210,27 +204,26 @@ def _check_intersection(bounds, cache_dir) -> str:
     return f"tables for d<={dmax}: symmetric, degree 2g, round trips exact"
 
 
-def _check_infrastructure(bounds, cache_dir) -> str:
+def _check_infrastructure(bounds) -> str:
     dmax = bounds["ham_dmax"]
     serialized = {}
     for d in range(-1, dmax + 1):
-        density = wang_hamiltonian(d, cache_dir).density
+        density = wang_hamiltonian(d).density
         blob = to_json(density)
         if from_json(blob) != density or to_json(from_json(blob)) != blob:
             raise AssertionError(f"JSON round trip fails for H_{d}")
         serialized[d] = blob
-    directory = _cache.resolve_cache_dir(cache_dir)
     clear_memory_memo()
     for d in range(-1, dmax + 1):
-        path = _cache.wang_path(directory, d)
+        path = _cache.density_path(d)
         if path.exists():
             path.unlink()
     for d in range(-1, dmax + 1):
-        if to_json(wang_hamiltonian(d, cache_dir).density) != serialized[d]:
+        if to_json(wang_hamiltonian(d).density) != serialized[d]:
             raise AssertionError(f"recomputation differs for H_{d}")
     clear_memory_memo()
     for d in range(-1, dmax + 1):
-        if to_json(wang_hamiltonian(d, cache_dir).density) != serialized[d]:
+        if to_json(wang_hamiltonian(d).density) != serialized[d]:
             raise AssertionError(f"cached reload differs for H_{d}")
     return f"serialization round trips; cache deletion is transparent (d<={dmax})"
 
@@ -247,14 +240,14 @@ _CHECKS = (
 )
 
 
-def run_suite(level: str = "quick", cache_dir=None, echo=None) -> VerifySummary:
+def run_suite(level: str = "quick", echo=None) -> VerifySummary:
     if level not in _LEVELS:
         raise ValueError(f"unknown level {level!r}; use quick or full")
     bounds = _LEVELS[level]
     results = []
     for name, fn in _CHECKS:
         try:
-            detail = fn(bounds, cache_dir)
+            detail = fn(bounds)
             passed = True
         except Exception as exc:
             detail = f"{type(exc).__name__}: {exc}"

@@ -86,8 +86,10 @@ hbar_free_polys = st.builds(
 
 
 @pytest.fixture
-def tmp_cache(tmp_path):
-    """An isolated cache directory, so tests never share disk state."""
+def tmp_cache(tmp_path, monkeypatch):
+    """An isolated cache directory, chosen through $QKDV_CACHE for one test,
+    so tests never share disk state."""
     d = tmp_path / "cache"
     d.mkdir()
+    monkeypatch.setenv(ENV_VAR, str(d))
     return d

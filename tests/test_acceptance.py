@@ -30,7 +30,7 @@ from qkdv import (
     to_json,
     wang_hamiltonian,
 )
-from qkdv.cache import wang_path
+from qkdv.cache import density_path
 from qkdv.fock import clear_fock_caches
 from qkdv.hierarchy import clear_memory_memo
 from qkdv.verify import random_density
@@ -120,7 +120,7 @@ def test_criterion_7_intersection_predictor():
                         assert falling.get(perm) == c
 
 
-def test_criterion_8_infrastructure(tmp_path):
+def test_criterion_8_infrastructure(tmp_cache):
     with criterion(8, "serialization, determinism, cache transparency", 120.0):
         # JSON round trips, bit-exact
         for d in range(-1, 5):
@@ -128,15 +128,16 @@ def test_criterion_8_infrastructure(tmp_path):
             s = to_json(f)
             assert from_json(s) == f and to_json(from_json(s)) == s
         # identical runs give identical summaries
-        one = run_suite("quick", cache_dir=tmp_path)
-        two = run_suite("quick", cache_dir=tmp_path)
+        one = run_suite("quick")
+        two = run_suite("quick")
         assert one.passed and two.passed
         assert json.dumps(one.to_json_dict()) == json.dumps(two.to_json_dict())
         # cache deletion changes nothing but runtime
-        reference = wang_hamiltonian(4, cache_dir=tmp_path).density
-        path = wang_path(tmp_path, 4)
+        reference = wang_hamiltonian(4).density
+        path = density_path(4)
+        assert path == tmp_cache / "wang" / "H_4.json"
         assert path.exists()
         path.unlink()
         clear_memory_memo()
         clear_fock_caches()
-        assert wang_hamiltonian(4, cache_dir=tmp_path).density == reference
+        assert wang_hamiltonian(4).density == reference

@@ -13,7 +13,7 @@ import pytest
 import qkdv
 from qkdv import DiffMonomial, DiffPoly, Scalar, hierarchy, reconstruction
 from qkdv._version import ENGINE_VERSION
-from qkdv.cache import load_density, store_density, wang_path
+from qkdv.cache import density_path, load_density, store_density
 from qkdv.cli import main
 from qkdv.diffpoly import dx, to_json_dict, variational_derivative
 from qkdv.hierarchy import clear_memory_memo, wang_hamiltonian
@@ -301,6 +301,22 @@ def test_env_var_selects_cache(capsys, tmp_path, monkeypatch):
     assert (tmp_path / "wang" / "H_0.json").exists()
 
 
+def test_cache_dir_flag_outranks_the_env_var_for_one_command(
+    capsys, tmp_path, monkeypatch
+):
+    flag, env = tmp_path / "flag", tmp_path / "env"
+    monkeypatch.setenv("QKDV_CACHE", str(env))
+    clear_memory_memo()
+    code, _, _ = run(capsys, "--cache-dir", str(flag), "hamiltonian", "-d", "2")
+    assert code == 0
+    assert (flag / "wang" / "H_2.json").exists()
+    assert not env.exists()
+    # main gave the choice back, so an API call reads $QKDV_CACHE again
+    clear_memory_memo()
+    wang_hamiltonian(2)
+    assert (env / "wang" / "H_2.json").exists()
+
+
 # The child imports the same qkdv as this process, installed or not.
 _PACKAGE_ROOT = str(Path(qkdv.__file__).resolve().parent.parent)
 
@@ -338,14 +354,14 @@ def test_verify_all_json_deterministic(tmp_path):
     assert len(doc["checks"]) == 8
 
 
-def test_forged_entry_is_trusted_then_caught_and_repaired(capsys, tmp_path):
+def test_forged_entry_is_trusted_then_caught_and_repaired(capsys, tmp_cache):
     # H_2 with its hbar*u1^2 coefficient doubled, written with a valid CRC:
     # the bidegree and classical part are right, so loading trusts it
     _, expected, _ = run(capsys, "hamiltonian", "-d", "2")
     true = wang_hamiltonian(2).density
     forged = true + DiffPoly.term(Scalar.of(0, "-1/24"), ((1, 2),), hbar=1)
-    store_density(wang_path(tmp_path, 2), 2, forged)
-    cache = ("--cache-dir", str(tmp_path))
+    store_density(density_path(2), 2, forged)
+    cache = ("--cache-dir", str(tmp_cache))
 
     shown = run_child(*cache, "hamiltonian", "-d", "2")
     assert shown.returncode == 0 and shown.stdout != expected
@@ -375,7 +391,7 @@ def test_forged_entry_is_trusted_then_caught_and_repaired(capsys, tmp_path):
     assert (shown.returncode, shown.stdout) == (0, expected)
 
 
-def test_forged_entry_with_a_total_derivative_added_is_trusted(capsys, tmp_path):
+def test_forged_entry_with_a_total_derivative_added_is_trusted(capsys, tmp_cache):
     # H_2 + (-i/7)*hbar*dx(u*u1), written with a valid CRC: the bidegree,
     # classical part and phase are right, and so is the variational
     # recursion, so loading would trust it even with that check added
@@ -388,8 +404,8 @@ def test_forged_entry_with_a_total_derivative_added_is_trusted(capsys, tmp_path)
                              + u(1, 2) * Scalar.of(0, "-31/168"))
     )
     assert variational_derivative(forged) == wang_hamiltonian(1).density
-    store_density(wang_path(tmp_path, 2), 2, forged)
-    cache = ("--cache-dir", str(tmp_path))
+    store_density(density_path(2), 2, forged)
+    cache = ("--cache-dir", str(tmp_cache))
 
     shown = run_child(*cache, "hamiltonian", "-d", "2")
     printed = f"H_2 = {render_poly_text(forged)}\n"
@@ -413,7 +429,7 @@ def test_forged_entry_with_a_total_derivative_added_is_trusted(capsys, tmp_path)
     assert (shown.returncode, shown.stdout) == (0, expected)
 
 
-def test_forged_entry_with_a_broken_phase_is_rebuilt(capsys, tmp_path):
+def test_forged_entry_with_a_broken_phase_is_rebuilt(capsys, tmp_cache):
     # H_2 with its hbar*u1^2 coefficient real (1/24) instead of -i/24: the
     # bidegree and classical part are right, the phase is not, so the load
     # rebuilds the entry before any command reads it
@@ -424,13 +440,13 @@ def test_forged_entry_with_a_broken_phase_is_rebuilt(capsys, tmp_path):
         - DiffPoly.term(true.coefficient(mono), ((1, 2),), hbar=1)
         + DiffPoly.term(Scalar.of("1/24"), ((1, 2),), hbar=1)
     )
-    path = wang_path(tmp_path, 2)
+    path = density_path(2)
     for command in (("hamiltonian", "-d", "2"), ("intersect", "-d", "2", "-g", "1")):
         for fmt in ("text", "json", "latex"):
             _, expected, _ = run(capsys, *command, "--format", fmt)
             store_density(path, 2, forged)
             shown = run_child(
-                "--cache-dir", str(tmp_path), *command, "--format", fmt
+                "--cache-dir", str(tmp_cache), *command, "--format", fmt
             )
             assert (shown.returncode, shown.stdout, shown.stderr) == (
                 0, expected, ""

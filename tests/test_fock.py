@@ -463,8 +463,8 @@ def test_commutator_witness_with_mixed_denominators(monkeypatch):
     so the witness is exact only when it is divided by their product."""
     true = wang_hamiltonian
 
-    def forged(d, cache_dir=None):
-        record = true(d, cache_dir)
+    def forged(d):
+        record = true(d)
         if d != 2:
             return record
         extra = DiffPoly.term(Scalar.of(0, "-1/7"), ((1, 2),), hbar=1)

@@ -25,7 +25,7 @@ from qkdv import (
     wang_hamiltonian,
 )
 from qkdv import hierarchy
-from qkdv.cache import wang_path
+from qkdv.cache import density_path
 from qkdv.diffpoly import to_json
 from qkdv.hierarchy import _dr_series, _exp_series, clear_memory_memo
 from qkdv.scalars import I
@@ -175,18 +175,19 @@ def test_s_partial_pattern():
 
 def test_cache_round_trip(tmp_cache):
     clear_memory_memo()
-    rec = wang_hamiltonian(3, cache_dir=tmp_cache)
-    path = wang_path(tmp_cache, 3)
+    rec = wang_hamiltonian(3)
+    path = density_path(3)
+    assert path == tmp_cache / "wang" / "H_3.json"
     assert path.exists()
     doc = json.loads(path.read_text())
     assert doc["d"] == 3 and "engine" in doc and "terms" in doc
     clear_memory_memo()
-    again = wang_hamiltonian(3, cache_dir=tmp_cache)
+    again = wang_hamiltonian(3)
     assert again.density == rec.density
     # deleting the file only costs recomputation
     path.unlink()
     clear_memory_memo()
-    fresh = wang_hamiltonian(3, cache_dir=tmp_cache)
+    fresh = wang_hamiltonian(3)
     assert fresh.density == rec.density
 
 
@@ -250,7 +251,7 @@ FROZEN_DENSITY_SHA256 = {
 def test_densities_beyond_the_literal_check_keep_their_bytes(tmp_cache):
     clear_memory_memo()
     for d, digest in FROZEN_DENSITY_SHA256.items():
-        text = to_json(wang_hamiltonian(d, cache_dir=tmp_cache).density)
+        text = to_json(wang_hamiltonian(d).density)
         assert hashlib.sha256(text.encode()).hexdigest() == digest, f"H_{d}"
     clear_memory_memo()
 

@@ -62,9 +62,16 @@ def test_intersect_runs_only_the_intersection_module(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "argv", [("hamiltonian", "-d", "2"), ("intersect", "-d", "4", "-g", "1")]
+    "argv",
+    [
+        ("hamiltonian", "-d", "2"),
+        ("intersect", "-d", "4", "-g", "1"),
+        ("commute", "--d1", "1", "--d2", "2", "--mmax", "3"),
+        ("reconstruct", "-d", "1", "-G", "2", "--compare"),
+        ("verify-all", "--level", "quick"),
+    ],
 )
-def test_light_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
+def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
     # dataclasses imports inspect, which imports dis, ast and tokenize
     assert probe(tmp_path, *argv)[1].isdisjoint({"dataclasses", "inspect"})
 

@@ -1,7 +1,6 @@
 """Rebuilding Hamiltonians from commutation constraints alone."""
 
 import json
-from dataclasses import FrozenInstanceError
 
 import pytest
 
@@ -61,7 +60,7 @@ def test_certificate_contents():
     q, cert = reconstruct_with_certificate(2, 1)
     # one solve is shared by every caller, so the certificate is frozen
     assert reconstruct_with_certificate(2, 1)[1] is cert
-    with pytest.raises(FrozenInstanceError):
+    with pytest.raises(AttributeError):
         cert.mmax_used = 0
     assert isinstance(cert.kernel_trace, tuple)
     assert isinstance(cert.verified_momenta, tuple)
@@ -140,8 +139,8 @@ def wrong_first_hamiltonian(monkeypatch):
     """The solver sees H_1 + u1^2 as the first Hamiltonian, with no solve memo."""
     true = qkdv.reconstruction.wang_hamiltonian
 
-    def substituted(d, cache_dir=None):
-        record = true(d, cache_dir)
+    def substituted(d):
+        record = true(d)
         if d == 1:
             record = record._replace(density=record.density + u(1, 2))
         return record

@@ -41,3 +41,27 @@ def test_only_diffpoly_spells_the_phase():
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             names = {getattr(node, field, None) for field in ("id", "attr", "name")}
             assert "MINUS_I" not in names, f"{path.name}:{getattr(node, 'lineno', '?')}"
+
+
+def imports_cache(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name == "qkdv.cache" for alias in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = "." * node.level + (node.module or "")
+        return module in (".cache", "qkdv.cache") or (
+            module in (".", "qkdv") and any(a.name == "cache" for a in node.names)
+        )
+    return False
+
+
+def test_only_cache_chooses_the_cache_directory():
+    # cache.density_path is the one place the directory is decided; the CLI
+    # hands it --cache-dir, and only hierarchy and verify touch the files
+    readers = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            assert not (isinstance(node, ast.arg) and node.arg == "cache_dir"), where
+            if imports_cache(node):
+                readers.add(path.name)
+    assert readers == {"hierarchy.py", "verify.py", "cli.py"}
