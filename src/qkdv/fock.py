@@ -25,14 +25,18 @@ Because annihilated parts must lie in the state and created parts must
 balance them, every contributing mode is bounded by the state's momentum:
 each sector computation below is exact, not a truncation.
 
-The enumeration never walks raw ordered tuples.  One generator,
-``_monomial_terms``, serves every action: per monomial and state it draws
-annihilation sub-multisets, weighted by the ways to draw them, solves for
-creation multisets via the zero-sum constraint, and multiplies by the weight
-of distributing that mode multiset over the monomial's positions.  The plain
-action and the slice with exactly one cross pairing differ only in how the
-ways are counted.  Results are memoized per (monomial, state) and per
-(density, state), so repeated commutator checks share almost all their work.
+The enumeration never walks raw ordered tuples, nor a total derivative:
+every mode tuple sums to 0, so one acts as zero, and ``_integral``, where
+each density enters the kernel, swaps it for its normal form plus its
+constants.  One generator, ``_monomial_terms``, serves every action: per
+monomial and state it walks the annihilated sub-multisets, weighted by the
+ways to draw them from the state, and scales the rows of ``_annihilated``,
+memoized per (monomial, annihilated multiset): the creation multisets that
+the zero-sum constraint allows, each weighted by the ways to spread the
+mode multiset over the monomial's positions.  The plain action and the
+slice with exactly one cross pairing differ only in how the ways are
+counted.  Results are memoized per (monomial, state) and per (density,
+state), and ``_act`` groups its rows by state, so it reads each column once.
 
 Every i in an amplitude comes from the grading, one per unit of the jet
 weight J and one per annihilation, so the enumeration works in integers
@@ -49,12 +53,12 @@ kernel builds a Scalar, SectorScalar or FockVector.
 from __future__ import annotations
 
 import math
-from collections import Counter, namedtuple
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from .diffpoly import DiffPoly
-from .functionals import poisson_density
+from .functionals import bounded_partitions, integrand_normal_form, poisson_density
 from .hierarchy import wang_hamiltonian
 from .scalars import Scalar, SparseMap, accumulate, as_scalar
 
@@ -115,24 +119,13 @@ class Partition(namedtuple("Partition", "parts", defaults=((),))):
     @staticmethod
     def make(parts) -> Partition:
         clean = tuple(sorted(parts, reverse=True))
-        if any(not isinstance(k, int) or k < 1 for k in clean):
+        if any(type(k) is not int or k < 1 for k in clean):
             raise ValueError(f"parts must be positive integers: {parts!r}")
         return Partition(clean)
 
     @property
     def momentum(self) -> int:
         return sum(self.parts)
-
-    def counts(self) -> Counter[int]:
-        return Counter(self.parts)
-
-    def remove(self, multiset) -> Partition:
-        c = self.counts()
-        for k, a in multiset:
-            c[k] -= a
-            if c[k] < 0:
-                raise ValueError(f"cannot remove {a} parts {k} from {self}")
-        return Partition(tuple(sorted(c.elements(), reverse=True)))
 
     def add(self, extra) -> Partition:
         return Partition(tuple(sorted(self.parts + tuple(extra), reverse=True)))
@@ -146,7 +139,7 @@ def partitions_of(m: int) -> tuple[Partition, ...]:
     """All partitions of momentum m, in descending lexicographic order."""
     if m < 0:
         raise ValueError("momentum must be nonnegative")
-    return tuple(Partition(p) for p in _bounded_partitions(m, m))
+    return tuple(Partition(p) for p in bounded_partitions(m, m))
 
 
 class SectorScalar(SparseMap):
@@ -174,7 +167,7 @@ class SectorScalar(SparseMap):
         return max((h for h, _ in self._terms), default=0)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Scalar)):
+        if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)
         if not isinstance(other, SectorScalar):
             return NotImplemented
@@ -220,7 +213,7 @@ class FockVector(SparseMap):
 
     @staticmethod
     def _as_factor(c) -> SectorScalar:
-        return SectorScalar.monomial(c) if isinstance(c, (int, Scalar)) else c
+        return c if isinstance(c, SectorScalar) else SectorScalar.monomial(c)
 
     def coefficient(self, lam: Partition) -> SectorScalar:
         return self._terms.get(lam, SectorScalar.zero())
@@ -239,26 +232,17 @@ class FockVector(SparseMap):
         return " + ".join(f"({amp})|{lam}>" for lam, amp in self.terms_sorted())
 
 
-def _submultisets(items: list[tuple[int, int]], max_size: int):
-    """Sub-multisets of {value: multiplicity} with at most max_size elements."""
-    if not items:
-        yield ()
+def _submultisets(parts: tuple, max_size: int):
+    """Splits of descending parts into a sub-multiset of at most max_size
+    elements, as (value, count) pairs, and the descending rest."""
+    if not parts:
+        yield (), ()
         return
-    (k, mult), rest = items[0], items[1:]
+    k = parts[0]
+    mult = parts.count(k)
     for take in range(min(mult, max_size) + 1):
-        for tail in _submultisets(rest, max_size - take):
-            yield (((k, take),) if take else ()) + tail
-
-
-def _bounded_partitions(t: int, max_parts: int, max_part: int | None = None):
-    """Descending tuples of positive integers summing to t, with at most
-    max_parts parts, each at most max_part (default t)."""
-    if t == 0:
-        yield ()
-    elif max_parts:
-        for k in range(min(t, max_part or t), 0, -1):
-            for rest in _bounded_partitions(t - k, max_parts - 1, k):
-                yield (k,) + rest
+        for tail, left in _submultisets(parts[mult:], max_size - take):
+            yield (((k, take),) if take else ()) + tail, parts[take:mult] + left
 
 
 @lru_cache(maxsize=None)
@@ -294,37 +278,40 @@ def _assignment_count(
     return spread(0, cnt, ())
 
 
-def _monomial_terms(jet_groups, pool: Partition, ways):
-    """Every term of the bare monomial prod u_j acting on the parts in pool.
+@lru_cache(maxsize=None)
+def _annihilated(jet_groups: tuple, ann: tuple) -> tuple:
+    """The (created parts, (hbar, p0), (re, im)) rows of the bare monomial
+    prod u_j that annihilates the (part, count) pairs ``ann``, per way to
+    draw them: hbar counts the annihilations, p0 the zero modes, and the
+    phase i^(J + a) signs each nonzero int amplitude or makes it imaginary."""
+    size_a = sum(a for _, a in ann)
+    free = sum(cnt for _, cnt in jet_groups) - size_a
+    phase = (sum(j * cnt for j, cnt in jet_groups) + size_a) % 4
+    n = math.prod(k**a for k, a in ann) * (1 if phase < 2 else -1)
+    rows = []
+    for creators in bounded_partitions(sum(k * a for k, a in ann), free):
+        z = free - len(creators)
+        vals = accumulate(((-c, 1) for c in creators), dict(ann))
+        if z:
+            vals[0] = z
+        amp = n * _assignment_count(jet_groups, tuple(sorted(vals.items())))
+        if amp:
+            amp = (0, amp) if phase % 2 else (amp, 0)
+            rows.append((Partition(creators), (size_a, z), amp))
+    return tuple(rows)
 
-    Yields (untouched parts, created parts, (hbar, p0), (re, im)) rows.
-    ``ways(ann)`` counts the ways to draw the annihilated sub-multiset
-    ``ann``, as (part, count) pairs, from the state; a count of zero skips
-    it.  The hbar power is the number of annihilations and the p0 power the
-    number of zero modes.  The untouched and created parts fix both, so no
-    two rows share a key; every amplitude is a nonzero real or imaginary int.
-    """
-    r = sum(cnt for _, cnt in jet_groups)
-    jet_weight = sum(j * cnt for j, cnt in jet_groups)
-    for ann in _submultisets(sorted(pool.counts().items()), r):
+
+def _monomial_terms(jet_groups, pool: Partition, ways):
+    """Every term of the bare monomial prod u_j acting on the parts in pool,
+    as (untouched parts, created parts, (hbar, p0), (re, im)) rows, no two
+    with one key.  ``ways(ann)`` counts the ways to draw the annihilated
+    (part, count) pairs ``ann`` from the state; zero skips them."""
+    for ann, left in _submultisets(pool.parts, sum(c for _, c in jet_groups)):
         n = ways(ann)
-        if not n:
-            continue
-        size_a = sum(a for _, a in ann)
-        t = sum(k * a for k, a in ann)
-        # the phase i^(J + a): its sign goes into n, an odd power makes it imaginary
-        phase = (jet_weight + size_a) % 4
-        n *= math.prod(k**a for k, a in ann) * (1 if phase < 2 else -1)
-        stripped = pool.remove(ann)
-        for creators in _bounded_partitions(t, r - size_a):
-            z = r - size_a - len(creators)
-            vals = accumulate(((-c, 1) for c in creators), dict(ann))
-            if z:
-                vals[0] = z
-            count = _assignment_count(jet_groups, tuple(sorted(vals.items())))
-            if count:
-                amp = (0, n * count) if phase % 2 else (n * count, 0)
-                yield stripped, Partition(creators), (size_a, z), amp
+        if n:
+            stripped = Partition(left)
+            for created, hp, (re, im) in _annihilated(jet_groups, ann):
+                yield stripped, created, hp, (n * re, n * im)
 
 
 def _gauss_sum(rows, out=None) -> dict:
@@ -353,7 +340,10 @@ def _scaled(pairs) -> tuple[int, tuple]:
 
 @lru_cache(maxsize=None)
 def _integral(f: DiffPoly) -> tuple[int, tuple]:
-    return _scaled(f.terms())
+    """f's scaled terms as the kernel acts with them: its normal form, since
+    total derivatives act as zero, plus the constants which that drops."""
+    constants = DiffPoly({m: c for m, c in f.terms() if not m.uexp})
+    return _scaled((integrand_normal_form(f) + constants).terms())
 
 
 def _realize(rows: dict, scale: int) -> FockVector:
@@ -366,18 +356,14 @@ def _realize(rows: dict, scale: int) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _split_apply(
-    jet_groups: tuple[tuple[int, int], ...], lam: Partition
-) -> tuple[tuple[Partition, Partition, tuple[int, int], tuple[int, int]], ...]:
+def _split_apply(jet_groups: tuple, lam: Partition) -> tuple:
     """Apply the coefficient-free monomial prod u_j to a basis state.
 
     Returns the rows of :func:`_monomial_terms`, keeping the state's
     untouched parts separate from the freshly created ones.
     """
-    counts = lam.counts()
-
     def ways(ann) -> int:
-        return math.prod(math.perm(counts[k], a) for k, a in ann)
+        return math.prod(math.perm(lam.parts.count(k), a) for k, a in ann)
 
     return tuple(_monomial_terms(jet_groups, lam, ways))
 
@@ -397,11 +383,16 @@ def _apply_to_basis(f: DiffPoly, lam: Partition) -> tuple:
 
 def _act(f: DiffPoly, rows) -> dict:
     """f-hat on ((state, hbar, p0), (re, im)) rows; the result's scale is
-    theirs times D_f."""
+    theirs times D_f.  Rows are grouped by state, so each column is read
+    once per state."""
+    by_state: dict[Partition, list] = {}
+    for (lam, h, p), c in rows:
+        by_state.setdefault(lam, []).append((h, p, c))
     return _gauss_sum(
         ((mu, h1 + h2, p1 + p2), (a * c - b * d, a * d + b * c))
-        for (lam, h1, p1), (a, b) in rows
+        for lam, amps in by_state.items()
         for (mu, h2, p2), (c, d) in _apply_to_basis(f, lam)
+        for h1, p1, (a, b) in amps
     )
 
 
@@ -426,11 +417,7 @@ def commutator_apply(f: DiffPoly, g: DiffPoly, v: FockVector) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _tracked_single(
-    jet_groups: tuple[tuple[int, int], ...],
-    plain: Partition,
-    marked: Partition,
-) -> tuple[tuple[Partition, tuple[int, int], tuple[int, int]], ...]:
+def _tracked_single(jet_groups: tuple, plain: Partition, marked: Partition) -> tuple:
     """Apply a bare monomial, keeping terms that hit the marked pool once.
 
     The state consists of two pools of parts.  Annihilators may draw from
@@ -439,15 +426,14 @@ def _tracked_single(
     product with exactly one cross pairing.  Output parts are merged again,
     so rows are (state, (hbar, p0), (re, im)) and several may share a key.
     """
-    p_counts = plain.counts()
-    m_counts = marked.counts()
+    p_counts, m_counts = plain.parts.count, marked.parts.count
 
     def ways(ann) -> int:
-        # exactly one marked part: one of kstar's astar draws, m_counts[kstar]
+        # exactly one marked part: one of kstar's astar draws, m_counts(kstar)
         # choices; every other draw comes from the plain pool
         return sum(
-            astar * m_counts[kstar] * math.perm(p_counts[kstar], astar - 1)
-            * math.prod(math.perm(p_counts[k], a) for k, a in ann if k != kstar)
+            astar * m_counts(kstar) * math.perm(p_counts(kstar), astar - 1)
+            * math.prod(math.perm(p_counts(k), a) for k, a in ann if k != kstar)
             for kstar, astar in ann
         )
 
@@ -567,9 +553,7 @@ def classical_consistency(
 
 
 def clear_fock_caches() -> None:
-    """Reset every memo of the kernel."""
-    _assignment_count.cache_clear()
-    _split_apply.cache_clear()
-    _tracked_single.cache_clear()
-    _apply_to_basis.cache_clear()
-    _integral.cache_clear()
+    """Reset every memo of the kernel: each lru_cache among its globals."""
+    for memo in globals().values():
+        if hasattr(memo, "cache_clear"):
+            memo.cache_clear()

@@ -4,13 +4,15 @@ A local functional is the class of a density f under the relation
 f ~ f + dx(g) + const.  Equality is decided by the Euler operator: the
 variational derivative of the difference vanishes exactly on that subspace,
 and that kernel fact is itself verified component-by-component in the test
-suite rather than assumed.
+suite rather than assumed.  The image of dx in each (grade, weight) block is
+reduced once, over Q, as dx has integer coefficients; it gives the basis of
+functionals and the normal form, which the Fock kernel acts with.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
 
 from . import linalg
 from .diffpoly import (
@@ -90,11 +92,22 @@ def component_monomials(grade: int, weight: int) -> list[DiffMonomial]:
     n = weight - grade
     if n < 1 or grade < 0:
         return []
-    out = []
-    for jets in combinations_with_replacement(range(grade + 1), n):
-        if sum(jets) == grade:
-            out.append(DiffMonomial.make([(s, 1) for s in jets]))
+    out = [
+        DiffMonomial.make([(s, 1) for s in jets] + [(0, n - len(jets))])
+        for jets in bounded_partitions(grade, n)
+    ]
     return sorted(out, key=DiffMonomial.sort_key)
+
+
+def bounded_partitions(t: int, max_parts: int, max_part: int | None = None):
+    """Descending tuples of positive integers summing to t, with at most
+    max_parts parts, each at most max_part (default t)."""
+    if t == 0:
+        yield ()
+    elif max_parts:
+        for k in range(min(t, max_part or t), 0, -1):
+            for rest in bounded_partitions(t - k, max_parts - 1, k):
+                yield (k,) + rest
 
 
 @lru_cache(maxsize=None)
@@ -102,15 +115,16 @@ def _dx_image(grade: int, weight: int):
     """The (grade, weight) monomials and the reduced image of dx from the
     (grade-1, weight-1) component, as (targets, reduced rows, pivots).
 
-    Tuples throughout, as every caller shares the memoized result.
+    Tuples throughout, as every caller shares the memoized result; the rows
+    hold Fractions, zeros included, so elimination never sees an int.
     """
     targets = tuple(component_monomials(grade, weight))
     index = {mono: i for i, mono in enumerate(targets)}
     rows = []
     for src in component_monomials(grade - 1, weight - 1):
-        vec = [ZERO] * len(targets)
+        vec = [Fraction(0)] * len(targets)
         for mono, c in dx(DiffPoly({src: Scalar.of(1)})).terms():
-            vec[index[mono]] = c
+            vec[index[mono]] = c.re
         rows.append(vec)
     reduced, pivots = linalg.rref(rows)
     return targets, tuple(map(tuple, reduced)), tuple(pivots)
@@ -132,7 +146,7 @@ def functional_basis(grade: int, weight: int) -> list[LocalFunctional]:
 
 
 def integrand_normal_form(f: DiffPoly) -> DiffPoly:
-    """A canonical density within the class of f (display helper).
+    """A canonical density within the class of f; the Fock kernel acts with it.
 
     Within each (hbar, grade, weight) block the dx-image coordinates are
     eliminated against the reduced image basis, and constant monomials are
@@ -145,11 +159,13 @@ def integrand_normal_form(f: DiffPoly) -> DiffPoly:
         bare = DiffMonomial(mono.uexp, 0)
         key = (mono.hbar, bare.grade(), bare.weight())
         blocks.setdefault(key, {})[bare] = c
-    out = DiffPoly.zero()
+    out = {}
     for (h, grade, weight), coeffs in sorted(blocks.items()):
         targets, reduced, pivots = _dx_image(grade, weight)
-        vec = [coeffs.get(mono, ZERO) for mono in targets]
-        vec = linalg.reduce_against(vec, reduced, pivots)
-        block = {DiffMonomial(t.uexp, h): c for t, c in zip(targets, vec)}
-        out = out + DiffPoly(block)
-    return out
+        # the image is over Q, so the real and imaginary parts reduce apart
+        parts = zip(*(coeffs.get(mono, ZERO) for mono in targets))
+        re, im = (linalg.reduce_against(x, reduced, pivots) for x in parts)
+        out.update(
+            (DiffMonomial(t.uexp, h), Scalar(a, b)) for t, a, b in zip(targets, re, im)
+        )
+    return DiffPoly(out)

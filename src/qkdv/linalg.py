@@ -1,13 +1,16 @@
-"""Small dense exact linear algebra over the Gaussian rationals.
+"""Small exact linear algebra over Q and the Gaussian rationals.
 
 The systems that arise here (image-of-dx components, reconstruction
-constraints) have at most a few hundred rows and a handful of columns, so
-plain Gauss-Jordan elimination over :class:`~qkdv.scalars.Scalar` is both
-exact and fast.  Rows are lists of Scalars; all functions leave their inputs
-untouched.
+constraints) have at most a few hundred rows and mostly zero entries, so
+Gauss-Jordan elimination that touches only the nonzero entries of each pivot
+row is both exact and fast.  Rows are lists of :class:`~qkdv.scalars.Scalar`
+or of :class:`~fractions.Fraction`; a pivot is inverted as ``Fraction(1) / x``,
+so no float can appear.  All functions leave their inputs untouched.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .scalars import ONE, ZERO, Scalar
 
@@ -20,35 +23,30 @@ def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
     Returns the nonzero reduced rows and the pivot column of each, in order.
     """
     work = [list(r) for r in rows if any(r)]
-    if not work:
-        return [], []
-    ncols = len(work[0])
     reduced: list[Row] = []
     pivots: list[int] = []
-    for col in range(ncols):
-        pivot_row = None
-        for r in work:
-            if r[col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+    for col in range(len(work[0]) if work else 0):
+        i = next((i for i, r in enumerate(work) if r[col]), None)
+        if i is None:
             continue
-        work.remove(pivot_row)
-        inv = pivot_row[col].inverse()
-        pivot_row = [x * inv for x in pivot_row]
-        for rows_list in (work, reduced):
-            for i, r in enumerate(rows_list):
-                if r[col]:
-                    factor = r[col]
-                    rows_list[i] = [
-                        a - factor * b for a, b in zip(r, pivot_row)
-                    ]
-        work = [r for r in work if any(r)]
+        pivot_row = work.pop(i)
+        inv = Fraction(1) / pivot_row[col]
+        pivot_row = [x * inv if x else x for x in pivot_row]
+        support = [(j, b) for j, b in enumerate(pivot_row) if b]
+        for r in work + reduced:
+            _eliminate(r, col, support)
         reduced.append(pivot_row)
         pivots.append(col)
-        if not work:
-            break
     return reduced, pivots
+
+
+def _eliminate(r: Row, col: int, support) -> None:
+    """Clear r[col] in place against a pivot row that is 1 at col, given by
+    its nonzero (column, entry) pairs."""
+    factor = r[col]
+    if factor:
+        for j, b in support:
+            r[j] = r[j] - factor * b
 
 
 def _kernel(reduced: list[Row], pivots: list[int], ncols: int) -> list[Row]:
@@ -101,6 +99,5 @@ def reduce_against(vec: Row, reduced: list[Row], pivots: list[int]) -> Row:
     out = list(vec)
     for row, piv in zip(reduced, pivots):
         if out[piv]:
-            factor = out[piv]
-            out = [a - factor * b for a, b in zip(out, row)]
+            _eliminate(out, piv, [(j, b) for j, b in enumerate(row) if b])
     return out

@@ -1,8 +1,11 @@
 """Free-boson realization: oracle checks, integrability, calibration."""
 
 import collections
+import hashlib
 import itertools
+import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -27,6 +30,7 @@ from qkdv import (
     run_suite,
     wang_hamiltonian,
 )
+from qkdv import fock
 from qkdv.fock import (
     _assignment_count,
     _split_apply,
@@ -68,7 +72,7 @@ def oracle_apply(f: DiffPoly, lam: Partition) -> FockVector:
                 sym = sym * (I * k) ** s
             if not sym:
                 continue
-            counts = dict(lam.counts())
+            counts = collections.Counter(lam.parts)
             nann = nzero = 0
             created: list[int] = []
             dead = False
@@ -184,14 +188,27 @@ def test_partition_type():
     lam = Partition.make([1, 3, 1])
     assert lam.parts == (3, 1, 1)
     assert lam.momentum == 5
-    assert lam.counts() == {3: 1, 1: 2}
-    assert lam.remove([(1, 2)]) == Partition.make([3])
     assert lam.add([2]) == Partition.make([1, 1, 2, 3])
     with pytest.raises(ValueError):
         Partition.make([0, 1])
-    with pytest.raises(ValueError):
-        lam.remove([(3, 2)])
     assert [len(partitions_of(m)) for m in range(7)] == [1, 1, 2, 3, 5, 7, 11]
+
+
+def test_partition_refuses_bools():
+    for parts in ([True, 2], [2, False], [True]):
+        with pytest.raises(ValueError):
+            Partition.make(parts)
+
+
+def test_sector_types_scale_by_fractions():
+    half = Fraction(1, 2)
+    expected = SectorScalar.monomial(Scalar.of("1/2"))
+    assert SectorScalar.one() * half == expected == half * SectorScalar.one()
+    lam = Partition.make([2, 1])
+    assert FockVector.basis(lam).scale(half) == FockVector({lam: expected})
+    assert FockVector.basis(lam).scale(half) == FockVector.basis(lam).scale(
+        Scalar.of("1/2")
+    )
 
 
 def test_partitions_of_is_every_partition_descending():
@@ -415,6 +432,46 @@ def test_cache_clearing_changes_nothing():
     before = apply_quantized(h2, FockVector.basis(lam))
     clear_fock_caches()
     assert apply_quantized(h2, FockVector.basis(lam)) == before
+
+
+def test_constants_act_as_multiplication():
+    """The normal form drops constant monomials, hbar powers included, so
+    the kernel must act with them beside it."""
+    f = DiffPoly.const(Scalar.of("2/3", 1)) + DiffPoly.hbar(2) * 5 + u(0) * u(2)
+    for m in range(5):
+        for lam in partitions_of(m):
+            v = FockVector.basis(lam)
+            assert apply_quantized(f, v) == oracle_apply(f, lam) == scalar_apply(f, v)
+            assert apply_quantized(DiffPoly.const(3), v) == v.scale(3)
+
+
+def test_clearing_empties_every_kernel_memo():
+    """Every lru_cache among the module's globals, found by introspection,
+    so a memo added later cannot be left out of the reset."""
+    memos = {
+        name: memo for name, memo in vars(fock).items()
+        if callable(getattr(memo, "cache_info", None))
+    }
+    assert {"_split_apply", "_apply_to_basis", "_tracked_single"} <= set(memos)
+    check_commute(1, 2, 3)
+    classical_consistency(u(0, 3), u(0) * u(1, 2), 3)
+    assert all(memo.cache_info().currsize for memo in memos.values())
+    clear_fock_caches()
+    assert {name: memo.cache_info().currsize for name, memo in memos.items()} == {
+        name: 0 for name in memos
+    }
+
+
+# sha256 of json.dumps(check_commute(5, 6, 8).to_json_dict(), sort_keys=True),
+# frozen while the kernel still enumerated every monomial of each density
+COMMUTE_5_6_8_SHA256 = (
+    "804309d97fa8e36bbcec0cb0152f3d0b611180a47ece07f112a067d25bc7e9c1"
+)
+
+
+def test_large_commute_report_keeps_its_bytes():
+    text = json.dumps(check_commute(5, 6, 8).to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == COMMUTE_5_6_8_SHA256
 
 
 def test_kernel_matches_scalar_path_on_hamiltonians():

@@ -1,5 +1,6 @@
 """Local functionals: quotient equality, bases, Poisson bracket."""
 
+import hashlib
 import math
 
 import pytest
@@ -13,13 +14,15 @@ from qkdv import (
     component_monomials,
     dx,
     functional_basis,
+    integrand_normal_form,
     poisson_bracket,
     poisson_density,
     to_functional,
     variational_derivative,
+    wang_hamiltonian,
 )
 from qkdv import functionals, linalg
-from qkdv.diffpoly import Bidegree
+from qkdv.diffpoly import Bidegree, to_json
 
 from conftest import diff_polys
 
@@ -46,6 +49,32 @@ def test_normal_form_represents_the_same_class(f):
     assert to_functional(nf) == lf
     # and is a fixed point of the reduction
     assert to_functional(nf).normal_form() == nf
+
+
+# sha256 of to_json(integrand_normal_form(H_d)), frozen while dx images were
+# eliminated densely over Q(i)
+NORMAL_FORM_SHA256 = {
+    -1: "def15af49c8b80dc4ac97f3f22aff201ec1c9272bc5dd5aa65a1176509e05022",
+    0: "71666108a5683324b2fe2b4cdf31c6d62400ba4c99419936129ff67f9fe13d3a",
+    1: "9e67b6b008120622a4a07105beea32c5ce5dcc908c8d69f520121083e7f04172",
+    2: "fde4a6906c4855715ddc162bbbb61ee12614fd34a922ad3234aa28d12eafd258",
+    3: "30179b48acb6b7f7aef51b3fc2adeda09a60917a51641f0b3846d6b0a71182ca",
+    4: "f25463c945155eb5716ad62034f6ca3304c9ff3f4c9249f42d10589ab1285c56",
+    5: "6294dc6f97cb0198b1c18fe5e197c853fdbcb4cec11f6c8fb5d14fa3bb16947b",
+    6: "71ff64d81dced127b5f1a92d2c12caea3464778a785b40fe3e52eebee1fa74f1",
+    7: "1268e8963950c486bdaf40edb7b1624aaed6faae10964546bf98bdd7638b0831",
+    8: "be9a2fbe79bb31ed66b34e1e037cb1dba13e9b9ecdcc0062c343c83931ca665f",
+    9: "7f71726f86a40cada60de4c42f0136941db398ae5d891031067c9b2414f72ca1",
+    10: "3480f90eff3f575ad8d230ada614d9303d2f536641d32a5c4659521c8ef093d3",
+    11: "6bc152829edcbf0e82510eac85685e127cb638fb6c4f2fc2594d2b02fb3f59a5",
+    12: "476e867906476f4a2aec537f256de5bbfbe6f63672f7a59103b56485a7d18c3a",
+}
+
+
+def test_normal_forms_of_the_hamiltonians_keep_their_bytes():
+    for d, digest in NORMAL_FORM_SHA256.items():
+        text = to_json(integrand_normal_form(wang_hamiltonian(d).density))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, f"H_{d}"
 
 
 def test_component_monomial_counts():

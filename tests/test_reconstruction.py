@@ -1,5 +1,6 @@
 """Rebuilding Hamiltonians from commutation constraints alone."""
 
+import hashlib
 import json
 
 import pytest
@@ -74,6 +75,19 @@ def test_certificate_contents():
     assert d["hbar_window"] == "all"
     assert d["ansatz_dimensions"] == {"1": 1}
     assert q == wang_hamiltonian(2).functional
+
+
+# sha256 of json.dumps(certificate.to_json_dict(), sort_keys=True) for (4, 2),
+# frozen while the kernel still enumerated every monomial of each density
+CERTIFICATE_4_2_SHA256 = (
+    "95f6011e8da843258ad5faabb37b9155aaee6d34bfc024ab10afad5d3be897cd"
+)
+
+
+def test_certificate_4_2_keeps_its_bytes():
+    _, cert = reconstruct_with_certificate(4, 2)
+    text = json.dumps(cert.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_4_2_SHA256
 
 
 def test_certificate_window_for_truncated_order():
