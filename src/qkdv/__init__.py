@@ -9,6 +9,8 @@ that only prints a density never compiles or runs them.  Their names in
 ``__all__`` resolve from the package root through ``__getattr__``.  On Python
 3.10 and 3.11 ``LazyLoader`` takes no lock, so the first access to a lazy
 module must not race another thread's; qkdv itself starts no threads.
+``__all__`` is derived, not listed: the public names imported below plus
+those of ``_LAZY``.
 """
 
 import importlib.util
@@ -74,6 +76,12 @@ _LAZY = {
     "verify": ("VerifySummary", "run_suite"),
 }
 _HOME = {name: module for module, names in _LAZY.items() for name in names}
+# every public name imported above (type(sys) is the module type), and _LAZY's
+__all__ = sorted(
+    [name for name, value in globals().items()
+     if not name.startswith("_") and not isinstance(value, type(sys))]
+    + list(_HOME)
+)
 
 
 def _lazy(name: str):
@@ -100,23 +108,3 @@ def __getattr__(name: str):
 def __dir__():
     return sorted(set(globals()) | set(__all__))
 
-
-__all__ = [
-    "Ansatz", "Bidegree", "CommutatorNonzero", "CommuteReport", "DiffMonomial",
-    "DiffPoly", "ENGINE_VERSION", "FallingCoeffTable", "FockVector",
-    "HamiltonianRecord", "InconsistentError", "LocalFunctional",
-    "MismatchError", "OddPowerError", "Partition", "ReconstructionCertificate",
-    "Scalar", "SectorScalar", "SSeries", "StrataPolynomial",
-    "UnderdeterminedError", "VerifySummary", "WeightMismatchError",
-    "apply_quantized", "as_scalar", "assemble_polynomial", "bidegree_of",
-    "build_ansatz", "check_commute", "check_vder_recursion",
-    "classical_consistency", "classical_density", "classical_flow_rhs",
-    "commutator_apply", "compare_with_wang", "component_monomials", "dx",
-    "extract_coeff_table", "falling_convert", "from_json", "from_json_dict",
-    "functional_basis", "genus0_check", "integrand_normal_form",
-    "is_homogeneous", "partial_u", "partitions_of", "poisson_bracket",
-    "poisson_density", "reassemble_density", "reconstruct",
-    "reconstruct_with_certificate", "run_suite", "s_partial_check", "s_series",
-    "scale_substitute", "to_functional", "to_json", "to_json_dict",
-    "variational_derivative", "wang_hamiltonian",
-]

@@ -31,9 +31,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import I, MINUS_I, ONE, Scalar, SparseMap, accumulate, as_scalar
-
-PHASE = (ONE, MINUS_I, -ONE, I)  # (-i)^h by h mod 4
+from .scalars import ONE, Scalar, SparseMap, accumulate, as_scalar
 
 
 class OddPowerError(ValueError):
@@ -179,18 +177,6 @@ class DiffPoly(SparseMap):
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(as_scalar(other).inverse())
         return NotImplemented
-
-    def __pow__(self, n: int) -> DiffPoly:
-        if not isinstance(n, int) or n < 0:
-            raise ValueError("DiffPoly powers take nonnegative integers")
-        out = DiffPoly.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     # -- hbar bookkeeping ------------------------------------------------
 

@@ -163,9 +163,6 @@ class SectorScalar(SparseMap):
             {(0, p): c for (hh, p), c in self._terms.items() if hh == h}
         )
 
-    def max_hbar(self) -> int:
-        return max((h for h, _ in self._terms), default=0)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, Scalar)):
             return self.scale(other)

@@ -43,23 +43,11 @@ class LocalFunctional:
             return NotImplemented
         return variational_derivative(self.rep - other.rep).is_zero()
 
-    def is_zero(self) -> bool:
-        return variational_derivative(self.rep).is_zero()
-
     def __add__(self, other: LocalFunctional) -> LocalFunctional:
         return LocalFunctional(self.rep + other.rep)
 
-    def __sub__(self, other: LocalFunctional) -> LocalFunctional:
-        return LocalFunctional(self.rep - other.rep)
-
     def __neg__(self) -> LocalFunctional:
         return LocalFunctional(-self.rep)
-
-    def scale(self, c) -> LocalFunctional:
-        return LocalFunctional(self.rep.scale(c))
-
-    def variational(self) -> DiffPoly:
-        return variational_derivative(self.rep)
 
     def normal_form(self) -> DiffPoly:
         return integrand_normal_form(self.rep)

@@ -28,9 +28,9 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import groupby, product
 
-from .diffpoly import PHASE, DiffMonomial, DiffPoly, unphased
+from .diffpoly import DiffMonomial, DiffPoly, phased, unphased
 from .hierarchy import wang_hamiltonian
-from .scalars import accumulate
+from .scalars import Scalar, accumulate
 
 MPoly = dict[tuple[int, ...], Fraction]
 
@@ -134,7 +134,7 @@ def reassemble_density(table: FallingCoeffTable) -> DiffPoly:
     for (g, jets), K in table.entries.items():
         mono = DiffMonomial.make([(s, 1) for s in jets], g)
         multiplicity = math.prod([math.factorial(e) for _, e in mono.uexp])
-        pairs.append((mono, PHASE[g % 4] * (K / multiplicity)))
+        pairs.append((mono, phased(Scalar(K / multiplicity), g)))
     return DiffPoly(accumulate(pairs))
 
 
@@ -230,13 +230,13 @@ def assemble_polynomial(d: int, g: int) -> StrataPolynomial:
     return StrataPolynomial(d, g, n, _canonical_mpoly(falling), _canonical_mpoly(power))
 
 
-def _closed_form(n: int, g: int, with_sum_factor: bool = True) -> MPoly:
+def _closed_form(n: int, g: int) -> MPoly:
     """[z^(2g)] S((a_1+...+a_n) z) S(a_1 z) ... S(a_n z) in the a_i, with
     S(x) = sinh(x/2)/(x/2) = sum_k x^(2k) / (4^k (2k+1)!): the falling table
     of (d, g) for n = d + 2 - 2g, in the shape of the Buryak-Shadrin-Spitz-
     Zvonkine formula for psi-integrals over double ramification cycles.  A
-    term takes k0 from the sum factor (none without it, a negative control)
-    and k_i from the others, and a multinomial share beta of (sum a)^(2 k0).
+    term takes k0 from the sum factor and k_i from the others, and a
+    multinomial share beta of (sum a)^(2 k0).
     """
 
     def s(k: int) -> Fraction:
@@ -246,7 +246,7 @@ def _closed_form(n: int, g: int, with_sum_factor: bool = True) -> MPoly:
         (tuple(2 * k + b for k, b in zip(ks, beta)),
          s(k0) * math.prod(map(s, ks)) * math.factorial(2 * k0)
          / math.prod(map(math.factorial, beta)))
-        for k0 in range(g + 1 if with_sum_factor else 1)
+        for k0 in range(g + 1)
         for ks in product(range(g - k0 + 1), repeat=n) if sum(ks) == g - k0
         for beta in product(range(2 * k0 + 1), repeat=n) if sum(beta) == 2 * k0
     )

@@ -2,10 +2,11 @@
 
 Densities print with ``u``, ``u1``, ``u2``, ... and ``hbar``, and (-i*hbar)^g
 grouped: each coefficient is a real rational (``diffpoly.unphased``) times
-that unit, which the cache load checks.  Stratum polynomials print over a
-common denominator with exponent tuples sorted descending, so identical
-inputs always produce identical bytes.  Each kind has one renderer; its
-``latex`` flag only changes how factors, products and quotients are spelled.
+that unit, which the cache load checks; any other raises ValueError.
+Stratum polynomials print over a common denominator with exponent tuples
+sorted descending, so identical inputs always produce identical bytes.  Each
+kind has one renderer; its ``latex`` flag only changes how factors, products
+and quotients are spelled.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ def _term_pieces(mono: DiffMonomial, c: Scalar, latex: bool):
     """Sign, numerator factors and denominator for one rendered term."""
     g = mono.hbar
     base = unphased(mono, c)
+    if base is None:
+        raise ValueError(f"monomial {mono}: {c} is not real times (-i)^{g}")
     factors: list[str] = []
     if g:
         unit = r"(-i\hbar)" if latex else "(-i*hbar)"

@@ -78,10 +78,7 @@ class VerifySummary(namedtuple("VerifySummary", "level results")):
         return {
             "level": self.level,
             "passed": self.passed,
-            "checks": [
-                {"name": r.name, "passed": r.passed, "detail": r.detail}
-                for r in self.results
-            ],
+            "checks": [r._asdict() for r in self.results],
         }
 
 
@@ -141,11 +138,11 @@ def _check_integrability(bounds) -> str:
     )
 
 
-def random_density(rng: random.Random, max_weight: int = 6) -> DiffPoly:
-    """A small hbar-free density with exact integer coefficients."""
+def random_density(rng: random.Random) -> DiffPoly:
+    """A small hbar-free density of weight <= 6 with exact integer coefficients."""
     out = DiffPoly.zero()
     for _ in range(rng.randint(1, 3)):
-        w = rng.randint(2, max_weight)
+        w = rng.randint(2, 6)
         n = rng.randint(1, w)
         cuts = sorted(rng.sample(range(1, w), n - 1)) if n > 1 else []
         bounds_seq = [0] + cuts + [w]

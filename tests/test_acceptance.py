@@ -88,8 +88,8 @@ def test_criterion_5_classical_calibration():
     with criterion(5, "order-hbar bracket calibration, 10 random pairs", 60.0):
         rng = random.Random(1723)
         for _ in range(10):
-            f = random_density(rng, max_weight=6)
-            g = random_density(rng, max_weight=6)
+            f = random_density(rng)
+            g = random_density(rng)
             assert classical_consistency(f, g, 4).witness is None
 
 

@@ -21,7 +21,8 @@ from qkdv import (
     to_json_dict,
     variational_derivative,
 )
-from qkdv.diffpoly import PHASE, Bidegree, DiffMonomial
+from qkdv.diffpoly import Bidegree, DiffMonomial
+from qkdv.scalars import MINUS_I
 
 from conftest import diff_polys, small_scalar, stores_no_zero
 
@@ -154,7 +155,7 @@ def test_scale_substitute_is_the_phase_product_term_by_term(terms):
         assert c.re and c.im
         half = mono.jet_weight() // 2
         image = DiffMonomial(mono.uexp, mono.hbar + half)
-        assert got.coefficient(image) == c * PHASE[half % 4]
+        assert got.coefficient(image) == c * MINUS_I**half
 
 
 def test_scale_substitute_rejects_odd_weight():

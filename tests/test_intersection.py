@@ -1,8 +1,9 @@
 """Predicted intersection polynomials and the coefficient inversion."""
 
+import math
 import time
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 
 import sympy
 from hypothesis import example, given, settings
@@ -265,6 +266,16 @@ def test_falling_table_is_the_closed_form():
 
 def test_closed_form_needs_the_sum_factor():
     """Negative control: without S((a_1+...+a_n) z) the tables differ."""
+
+    def s(k):
+        return Fraction(1, 4**k * math.factorial(2 * k + 1))
+
     for d, g in CLOSED_FORM_CASES:
         sp = assemble_polynomial(d, g)
-        assert sp.falling_dict() != _closed_form(sp.n, g, with_sum_factor=False)
+        # [z^(2g)] prod S(a_i z): a_i^(2 k_i) with k_1 + ... + k_n = g
+        without = {
+            tuple(2 * k for k in ks): math.prod(map(s, ks))
+            for ks in product(range(g + 1), repeat=sp.n)
+            if sum(ks) == g
+        }
+        assert sp.falling_dict() != without

@@ -9,6 +9,7 @@ does not load it.
 
 import subprocess
 import sys
+import types
 from fractions import Fraction
 from pathlib import Path
 
@@ -110,8 +111,11 @@ def test_every_public_name_resolves_to_its_home_object():
     assert qkdv.Ansatz is qkdv.reconstruction.Ansatz
     assert qkdv.run_suite is qkdv.verify.run_suite
     assert qkdv.wang_hamiltonian is qkdv.hierarchy.wang_hamiltonian
+    # __all__ is derived from the imports and _LAZY; no module gets into it
+    assert len(qkdv.__all__) == len(set(qkdv.__all__)) == 61
     for name in qkdv.__all__:
         obj = getattr(qkdv, name)
+        assert not isinstance(obj, types.ModuleType), name
         home = getattr(obj, "__module__", "qkdv._version")
         assert home.startswith("qkdv."), name
         assert getattr(sys.modules[home], name) is obj, name

@@ -1,5 +1,6 @@
-"""Text and LaTeX rendering of stratum polynomials."""
+"""Text and LaTeX rendering of densities and stratum polynomials."""
 
+import re
 from types import SimpleNamespace
 
 import pytest
@@ -7,7 +8,12 @@ import pytest
 from qkdv import DiffMonomial, DiffPoly, Scalar, intersection
 from qkdv.hierarchy import wang_hamiltonian
 from qkdv.intersection import assemble_polynomial
-from qkdv.render import render_mpoly_latex, render_mpoly_text
+from qkdv.render import (
+    render_mpoly_latex,
+    render_mpoly_text,
+    render_poly_latex,
+    render_poly_text,
+)
 
 
 @pytest.mark.parametrize("render", [render_mpoly_text, render_mpoly_latex])
@@ -30,3 +36,18 @@ def test_mpoly_rejects_non_real_coefficients(render, monkeypatch):
     with pytest.raises(ValueError, match=r"not real times \(-i\)\^1"):
         sp = assemble_polynomial(2, 1)
         render(sp.power_dict(), sp.variable_names())
+
+
+def test_density_renderers_refuse_a_coefficient_off_the_phase():
+    # a coefficient at hbar^g must be a real rational times (-i)^g; any other
+    # is refused, naming the monomial and the coefficient
+    cases = [
+        (DiffMonomial(((0, 2),), 0), Scalar.of(1, 1), "u0^2: (1+i)", 0),
+        (DiffMonomial(((2, 1),), 1), Scalar.of("1/12"), "u2*hbar: 1/12", 1),
+    ]
+    for render in (render_poly_text, render_poly_latex):
+        for mono, c, named, g in cases:
+            f = DiffPoly({mono: c}) + DiffPoly.u(0, 3)
+            refusal = f"monomial {named} is not real times (-i)^{g}"
+            with pytest.raises(ValueError, match=re.escape(refusal)):
+                render(f)
