@@ -1,110 +1,78 @@
 """Exact symbolic engine for a quantized dispersionless KdV hierarchy.
 
-The modules a density request needs (``scalars``, ``diffpoly``, ``linalg``,
-``functionals``, ``cache``, ``hierarchy``, ``render``) are imported as usual.
-The four command-level modules, ``fock``, ``intersection``, ``reconstruction``
-and ``verify``, are registered in ``sys.modules`` through
-``importlib.util.LazyLoader`` and run on first attribute access, so a process
-that only prints a density never compiles or runs them.  Their names in
-``__all__`` resolve from the package root through ``__getattr__``.  On Python
-3.10 and 3.11 ``LazyLoader`` takes no lock, so the first access to a lazy
-module must not race another thread's; qkdv itself starts no threads.
-``__all__`` is derived, not listed: the public names imported below plus
-those of ``_LAZY``.
+``import qkdv`` runs this module and ``_version`` only.  Every other public
+name, and every submodule, resolves on first access through ``__getattr__``,
+which imports the module that ``_PUBLIC`` names as its home with
+``importlib.import_module`` (and so under the import lock); a submodule is
+imported with whatever it imports itself.  ``qkdv.cli`` additionally
+registers the modules it binds before it uses them (``fock``,
+``intersection``, ``linalg``, ``reconstruction``, ``render``, ``verify``)
+through ``importlib.util.LazyLoader``: those run on first attribute access,
+so a command that does not use one never compiles it.  On Python 3.10 and
+3.11 ``LazyLoader`` takes no lock, so after ``import qkdv.cli`` the first
+access to one of those six must not race another thread's; qkdv itself
+starts no threads.  ``__all__`` is derived from ``_PUBLIC``.
 """
 
-import importlib.util
-import sys
+import importlib
 
 from ._version import ENGINE_VERSION
-from .diffpoly import (
-    Bidegree,
-    DiffMonomial,
-    DiffPoly,
-    OddPowerError,
-    bidegree_of,
-    dx,
-    from_json,
-    from_json_dict,
-    is_homogeneous,
-    partial_u,
-    scale_substitute,
-    to_json,
-    to_json_dict,
-    variational_derivative,
-)
-from .functionals import (
-    LocalFunctional,
-    functional_basis,
-    integrand_normal_form,
-    component_monomials,
-    poisson_bracket,
-    poisson_density,
-    to_functional,
-)
-from .hierarchy import (
-    HamiltonianRecord,
-    SSeries,
-    classical_density,
-    classical_flow_rhs,
-    check_vder_recursion,
-    s_partial_check,
-    s_series,
-    wang_hamiltonian,
-)
-from .scalars import Scalar, as_scalar
 
 __version__ = ENGINE_VERSION
 
-# names in __all__ that live in a lazily loaded module, by module
-_LAZY = {
+# every submodule and the public names it exports from the package root
+_PUBLIC = {
+    "_version": ("ENGINE_VERSION",),
+    "cache": (),
+    "cli": (),
+    "diffpoly": (
+        "Bidegree", "DiffMonomial", "DiffPoly", "OddPowerError", "bidegree_of",
+        "dx", "from_json", "from_json_dict", "is_homogeneous", "partial_u",
+        "scale_substitute", "to_json", "to_json_dict", "variational_derivative",
+    ),
     "fock": (
         "CommutatorNonzero", "CommuteReport", "FockVector", "MismatchError",
         "Partition", "SectorScalar", "apply_quantized", "check_commute",
         "classical_consistency", "commutator_apply", "partitions_of",
+    ),
+    "functionals": (
+        "LocalFunctional", "component_monomials", "functional_basis",
+        "integrand_normal_form", "poisson_bracket", "poisson_density",
+        "to_functional",
+    ),
+    "hierarchy": (
+        "HamiltonianRecord", "SSeries", "check_vder_recursion",
+        "classical_density", "classical_flow_rhs", "s_partial_check",
+        "s_series", "wang_hamiltonian",
     ),
     "intersection": (
         "FallingCoeffTable", "StrataPolynomial", "WeightMismatchError",
         "assemble_polynomial", "extract_coeff_table", "falling_convert",
         "genus0_check", "reassemble_density",
     ),
+    "linalg": (),
     "reconstruction": (
         "Ansatz", "InconsistentError", "ReconstructionCertificate",
         "UnderdeterminedError", "build_ansatz", "compare_with_wang",
         "reconstruct", "reconstruct_with_certificate",
     ),
+    "render": (),
+    "scalars": ("Scalar", "as_scalar"),
     "verify": ("VerifySummary", "run_suite"),
 }
-_HOME = {name: module for module, names in _LAZY.items() for name in names}
-# every public name imported above (type(sys) is the module type), and _LAZY's
-__all__ = sorted(
-    [name for name, value in globals().items()
-     if not name.startswith("_") and not isinstance(value, type(sys))]
-    + list(_HOME)
-)
-
-
-def _lazy(name: str):
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-fock = _lazy("fock")
-intersection = _lazy("intersection")
-reconstruction = _lazy("reconstruction")
-verify = _lazy("verify")
+_HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+__all__ = sorted(_HOME)
 
 
 def __getattr__(name: str):
+    if name in _PUBLIC:
+        return importlib.import_module(f"{__name__}.{name}")
     if name in _HOME:
-        return getattr(globals()[_HOME[name]], name)
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+        globals()[name] = value
+        return value
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted(set(globals()) | set(__all__))
-
+    return sorted(set(globals()) | set(__all__) | set(_PUBLIC))

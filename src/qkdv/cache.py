@@ -60,7 +60,7 @@ def load_density(path: Path, d: int) -> DiffPoly | None:
             return None
         return from_json_dict(payload)
     except (OSError, ValueError, KeyError, TypeError, AttributeError,
-            ZeroDivisionError):
+            ZeroDivisionError, RecursionError):
         return None
 
 

@@ -16,16 +16,33 @@ deterministic for a fixed command line.
 
 from __future__ import annotations
 
-import argparse
-import json
+import importlib.util
 import sys
 
-# fock, intersection, reconstruction and verify load on first attribute
-# access (see qkdv/__init__.py), so each command reads them only when it runs.
+
+def _lazy(name: str) -> None:
+    """Register qkdv.<name> to run on its first attribute access."""
+    fullname = f"{__package__}.{name}"
+    if fullname not in sys.modules:
+        spec = importlib.util.find_spec(fullname)
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        sys.modules[fullname] = module = importlib.util.module_from_spec(spec)
+        setattr(sys.modules[__package__], name, module)
+        spec.loader.exec_module(module)
+
+
+# A command runs only the modules it reads: JSON output never renders, and a
+# density request never reduces a normal form.  linalg is registered before
+# hierarchy imports functionals, which binds it.  argparse comes after the
+# core modules: imported first, it raised the peak memory of a density request.
+for _name in ("fock", "intersection", "linalg", "reconstruction", "render", "verify"):
+    _lazy(_name)
 from . import (
     cache, diffpoly, fock, hierarchy, intersection, reconstruction, render, verify,
 )
 from ._version import ENGINE_VERSION
+import argparse
+import json
 
 
 def _index(value: str) -> int:

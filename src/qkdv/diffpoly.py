@@ -318,6 +318,12 @@ def to_json_dict(f: DiffPoly) -> dict:
     return {"terms": terms}
 
 
+def _rational(text: str) -> Fraction:
+    # "p" or "p/q" only: Fraction("1e999999999") would compute 10**999999999
+    num, slash, den = text.partition("/")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
 def from_json_dict(d: dict) -> DiffPoly:
     """Parse :func:`to_json_dict` output; numbers must be exact: str or int."""
     pairs = []
@@ -327,7 +333,7 @@ def from_json_dict(d: dict) -> DiffPoly:
         if not exact or {type(hbar), *map(type, uexp.values())} != {int}:
             raise TypeError(f"inexact or mistyped term {entry!r}")
         mono = DiffMonomial.make({int(s): e for s, e in uexp.items()}, hbar)
-        pairs.append((mono, Scalar(Fraction(c["re"]), Fraction(c["im"]))))
+        pairs.append((mono, Scalar(_rational(c["re"]), _rational(c["im"]))))
     return DiffPoly(accumulate(pairs))
 
 
@@ -336,4 +342,7 @@ def to_json(f: DiffPoly) -> str:
 
 
 def from_json(s: str) -> DiffPoly:
+    """Parse :func:`to_json` output.  Each coefficient part must be a ``p`` or
+    ``p/q`` string of integers, as written; ``"0.5"`` or ``"1e3"`` raises
+    ``ValueError``."""
     return from_json_dict(json.loads(s))

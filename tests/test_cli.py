@@ -13,7 +13,7 @@ import pytest
 import qkdv
 from qkdv import DiffMonomial, DiffPoly, Scalar, hierarchy, reconstruction
 from qkdv._version import ENGINE_VERSION
-from qkdv.cache import density_path, load_density, store_density
+from qkdv.cache import _checksum, density_path, load_density, store_density
 from qkdv.cli import main
 from qkdv.diffpoly import dx, to_json_dict, variational_derivative
 from qkdv.hierarchy import clear_memory_memo, wang_hamiltonian
@@ -230,16 +230,22 @@ def _edited_after_write(d):
 
 
 @pytest.mark.parametrize(
-    "payload",
+    "text",
     [
-        [],
-        {"d": 2, "engine": ENGINE_VERSION, "terms": [dict(_ONE, u=[1])]},
-        {"d": 2, "engine": ENGINE_VERSION, "terms": []},
-        {"d": 2, "engine": ENGINE_VERSION, "terms": [dict(_ONE, u={"0": 3})]},
-        {"d": 2, "engine": ENGINE_VERSION, **to_json_dict(wang_hamiltonian(3).density)},
-        {"d": 2, "engine": ENGINE_VERSION, **_float_hbar_terms(2)},
-        _edited_after_write(2),
-    ],
+        json.dumps(payload)
+        for payload in (
+            [],
+            {"d": 2, "engine": ENGINE_VERSION, "terms": [dict(_ONE, u=[1])]},
+            {"d": 2, "engine": ENGINE_VERSION, "terms": []},
+            {"d": 2, "engine": ENGINE_VERSION, "terms": [dict(_ONE, u={"0": 3})]},
+            {"d": 2, "engine": ENGINE_VERSION,
+             **to_json_dict(wang_hamiltonian(3).density)},
+            {"d": 2, "engine": ENGINE_VERSION, **_float_hbar_terms(2)},
+            _edited_after_write(2),
+        )
+    ]
+    # json.loads raises RecursionError, not ValueError, on this
+    + ["[" * 200_000],
     ids=[
         "list",
         "u-is-a-list",
@@ -248,21 +254,40 @@ def _edited_after_write(d):
         "terms-of-H3",
         "float-im",
         "edited-after-write",
+        "nested-200000-deep",
     ],
 )
-def test_hamiltonian_rebuilds_bad_cache_entry(capsys, tmp_path, payload):
-    # valid JSON of the wrong shape, or a parsed entry that cannot be H_2
+def test_hamiltonian_rebuilds_bad_cache_entry(capsys, tmp_path, text):
+    # valid JSON of the wrong shape, a parsed entry that cannot be H_2, or
+    # JSON too deep to parse
     _, expected, _ = run(capsys, "hamiltonian", "-d", "2")
     reference = wang_hamiltonian(2).density
     clear_memory_memo()
     path = tmp_path / "wang" / "H_2.json"
     path.parent.mkdir()
-    path.write_text(json.dumps(payload))
+    path.write_text(text)
     code, out, err = run(
         capsys, "--cache-dir", str(tmp_path), "hamiltonian", "-d", "2"
     )
     assert (code, out, err) == (0, expected, "")
     assert load_density(path, 2) == reference
+
+
+def test_hamiltonian_rebuilds_a_checksummed_entry_with_an_exponent(tmp_path):
+    # Fraction("1e999999999") computes 10**999999999, so a child that parses
+    # the coefficient that way runs until the timeout kills it
+    clean = run_child("--cache-dir", str(tmp_path / "clean"), "hamiltonian", "-d", "2")
+    path = tmp_path / "wang" / "H_2.json"
+    store_density(path, 2, wang_hamiltonian(2).density)
+    payload = json.loads(path.read_text())
+    payload["terms"][0]["c"]["re"] = "1e999999999"
+    payload["crc32"] = _checksum(payload["terms"])
+    path.write_text(json.dumps(payload))
+    child = run_child(
+        "--cache-dir", str(tmp_path), "hamiltonian", "-d", "2", timeout=60
+    )
+    assert (child.returncode, child.stdout, child.stderr) == (0, clean.stdout, "")
+    assert load_density(path, 2) == wang_hamiltonian(2).density
 
 
 def test_hamiltonian_survives_unwritable_cache(capsys, tmp_path, monkeypatch):
@@ -321,12 +346,13 @@ def test_cache_dir_flag_outranks_the_env_var_for_one_command(
 _PACKAGE_ROOT = str(Path(qkdv.__file__).resolve().parent.parent)
 
 
-def run_child(*args, **env):
+def run_child(*args, timeout=None, **env):
     """Run the CLI in a fresh process, whose density memo starts empty."""
     return subprocess.run(
         [sys.executable, "-m", "qkdv.cli", *args],
         capture_output=True,
         text=True,
+        timeout=timeout,
         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": _PACKAGE_ROOT,
              "PYTHONDONTWRITEBYTECODE": "1", **env},
     )

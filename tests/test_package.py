@@ -1,10 +1,14 @@
 """The package root: its public names, which modules a command runs, and
 the named-tuple records on the start-up path.
 
-``fock``, ``intersection``, ``reconstruction`` and ``verify`` are loaded
-lazily.  Until one of their attributes is read, ``sys.modules`` holds a lazy
-module whose type is a subclass of ``types.ModuleType``; reading the type
-does not load it.
+``import qkdv`` runs only the package root and ``_version``; every other
+name loads its module on first access.  ``import qkdv.cli`` registers
+``fock``, ``intersection``, ``linalg``, ``reconstruction``, ``render`` and
+``verify`` lazily.  Until one of their attributes is read, ``sys.modules``
+holds a lazy module whose type is a subclass of ``types.ModuleType``;
+reading the type does not load it.  A fresh interpreter is the only place
+where a name's first access can be seen: in this process an earlier import
+has already loaded most modules.
 """
 
 import subprocess
@@ -19,7 +23,11 @@ import qkdv
 from qkdv import DiffMonomial, DiffPoly, HamiltonianRecord, Scalar
 
 SRC = Path(qkdv.__file__).resolve().parent.parent
+ENV = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)}
 LAZY = ("fock", "intersection", "reconstruction", "verify")
+SUBMODULES = sorted(
+    p.stem for p in (SRC / "qkdv").glob("*.py") if not p.stem.startswith("_")
+)
 
 # Runs one CLI command and reports on stderr which lazy modules have executed.
 PROBE = """
@@ -34,14 +42,15 @@ sys.exit(rc)
 """
 
 
-def probe(tmp_path, *argv):
-    """The lazy modules one CLI command executes, and every module it loads."""
+def probe(tmp_path, *argv, watch=LAZY):
+    """The modules of ``watch`` that one CLI command executes, and every
+    module it loads."""
     child = subprocess.run(
-        [sys.executable, "-c", PROBE.format(lazy=LAZY),
+        [sys.executable, "-c", PROBE.format(lazy=watch),
          "--cache-dir", str(tmp_path), *argv],
         capture_output=True,
         text=True,
-        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)},
+        env=ENV,
     )
     assert child.returncode == 0, child.stderr
     assert child.stdout
@@ -49,8 +58,48 @@ def probe(tmp_path, *argv):
     return set(executed.split()), set(loaded.split())
 
 
-def executed_modules(tmp_path, *argv):
-    return probe(tmp_path, *argv)[0]
+def executed_modules(tmp_path, *argv, watch=LAZY):
+    return probe(tmp_path, *argv, watch=watch)[0]
+
+
+def run_fresh(code, *flags):
+    """Standard output of ``code`` in a fresh interpreter."""
+    child = subprocess.run(
+        [sys.executable, *flags, "-c", code],
+        capture_output=True,
+        text=True,
+        env=ENV,
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+def test_import_qkdv_runs_only_the_root_and_version_modules():
+    # -S: no site hook imports anything before qkdv does
+    out = run_fresh(
+        "import sys; before = set(sys.modules); import qkdv; "
+        "print(*sorted(set(sys.modules) - before)); print(*sys.modules)",
+        "-S",
+    )
+    added, loaded = (set(line.split()) for line in out.splitlines())
+    assert {m for m in added if m.partition(".")[0] == "qkdv"} == {
+        "qkdv", "qkdv._version"
+    }
+    assert loaded.isdisjoint({"fractions", "json", "argparse"})
+
+
+@pytest.mark.parametrize(
+    "argv, executed",
+    [
+        (("hamiltonian", "-d", "2", "--format", "json"), set()),
+        (("hamiltonian", "-d", "2", "--format", "text"), {"render"}),
+        (("commute", "--d1", "1", "--d2", "2", "--mmax", "3"), {"linalg"}),
+    ],
+)
+def test_only_the_commands_that_need_them_run_render_and_linalg(
+    tmp_path, argv, executed
+):
+    assert executed_modules(tmp_path, *argv, watch=("linalg", "render")) == executed
 
 
 def test_a_density_request_runs_no_command_level_module(tmp_path):
@@ -119,6 +168,35 @@ def test_every_public_name_resolves_to_its_home_object():
         home = getattr(obj, "__module__", "qkdv._version")
         assert home.startswith("qkdv."), name
         assert getattr(sys.modules[home], name) is obj, name
+
+
+def test_star_import_binds_every_home_object_in_a_fresh_interpreter():
+    assert SUBMODULES[0] == "cache" and SUBMODULES[-1] == "verify"
+    out = run_fresh(
+        "import sys, types\n"
+        "import qkdv\n"
+        f"assert set({SUBMODULES!r}) <= set(dir(qkdv))\n"
+        "namespace = {}\n"
+        "exec('from qkdv import *', namespace)\n"
+        "for name in qkdv.__all__:\n"
+        "    obj = namespace[name]\n"
+        "    assert not isinstance(obj, types.ModuleType), name\n"
+        "    home = getattr(obj, '__module__', 'qkdv._version')\n"
+        "    assert getattr(sys.modules[home], name) is obj, name\n"
+        "    assert home == 'qkdv.' + qkdv._HOME[name], name\n"
+        "print(len(qkdv.__all__))\n"
+    )
+    assert out == "61\n"
+
+
+@pytest.mark.parametrize("name", SUBMODULES)
+def test_each_submodule_resolves_as_an_attribute_in_a_fresh_interpreter(name):
+    out = run_fresh(
+        "import sys, qkdv\n"
+        f"assert 'qkdv.{name}' not in sys.modules\n"
+        f"print(qkdv.{name} is sys.modules['qkdv.{name}'])\n"
+    )
+    assert out == "True\n"
 
 
 def test_star_import_and_dir_list_every_public_name():
