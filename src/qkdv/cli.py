@@ -32,9 +32,11 @@ def _lazy(name: str) -> None:
 
 
 # A command runs only the modules it reads: JSON output never renders, and a
-# density request never reduces a normal form.  linalg is registered before
-# hierarchy imports functionals, which binds it.  argparse comes after the
-# core modules: imported first, it raised the peak memory of a density request.
+# density request never reduces a normal form.  functionals imports linalg
+# only to reduce one, so registering linalg here only keeps it in sys.modules
+# for perfbench/traced_job.py, which spans linalg.rref from the start.
+# argparse comes after the core modules: imported first, it raised the peak
+# memory of a density request.
 for _name in ("fock", "intersection", "linalg", "reconstruction", "render", "verify"):
     _lazy(_name)
 from . import (

@@ -149,9 +149,6 @@ class DiffPoly(SparseMap):
     def coefficient(self, mono: DiffMonomial) -> Scalar:
         return self._terms.get(mono, Scalar())
 
-    def monomial_count(self) -> int:
-        return len(self._terms)
-
     def max_jet(self) -> int:
         """Largest jet index appearing, -1 for jet-free polynomials."""
         return max((m.uexp[-1][0] for m in self._terms if m.uexp), default=-1)

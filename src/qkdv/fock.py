@@ -28,34 +28,32 @@ each sector computation below is exact, not a truncation.
 The enumeration never walks raw ordered tuples, nor a total derivative:
 every mode tuple sums to 0, so one acts as zero, and ``_integral``, where
 each density enters the kernel, swaps it for its normal form plus its
-constants.  One generator, ``_monomial_terms``, serves every action: per
-monomial and state it walks the annihilated sub-multisets, weighted by the
-ways to draw them from the state, and scales the rows of ``_annihilated``,
-memoized per (monomial, annihilated multiset): the creation multisets that
-the zero-sum constraint allows, each weighted by the ways to spread the
-mode multiset over the monomial's positions.  The plain action and the
-slice with exactly one cross pairing differ only in how the ways are
-counted.  Results are memoized per (monomial, state) and per (density,
-state), and ``_act`` groups its rows by state, so it reads each column once.
+constants.  One enumerator, ``_monomial_terms``, serves every action: per
+monomial and state it walks the annihilated sub-multisets, with the ways to
+draw them, and scales the rows of ``_annihilated``: the creation multisets
+that the zero-sum constraint allows, each weighted by the ways to spread
+the mode multiset over the monomial's positions (the plain action and the
+slice with one cross pairing differ only in the ways).  Every i comes from
+the grading, one per unit of the jet weight J and one per annihilation, so
+the enumeration counts in integers and applies the phase i^(J + a) last.
 
-Every i in an amplitude comes from the grading, one per unit of the jet
-weight J and one per annihilation, so the enumeration works in integers
-(memoized assignment counts) and applies the phase i^(J + a) last, with a
-the number of annihilations.  Its rows are flat, (parts, (hbar, p0),
-(re, im)), one per key of a (monomial, state) pair.  The kernel stays in
-such Gaussian integers: each density carries one denominator, the lcm D_f
-of its coefficients' (``_integral``), an input vector one more, D_v, and
-every product is an int product.  ``_realize`` divides by the known scale
-once per entry: it is the one way back to Q(i), and the only place the
-kernel builds a Scalar, SectorScalar or FockVector.
+Inside the kernel a state is its descending parts tuple and a number an
+int.  Rows are flat, ((parts, hbar, p0), (re, im)); each density carries
+one denominator, the lcm D_f of its coefficients' (``_integral``), and an
+input vector one more, D_v.  ``_apply_to_basis`` (memoized per density and
+state), ``_act`` and ``_cross_once`` are each one loop that adds
+Gaussian-integer products straight into [re, im] sums, so a key is hashed
+once per product.  ``_realize`` divides by the known scale once per
+entry: it is the one way back to Q(i), and with the witnesses the only
+place the kernel builds a Partition, Scalar, SectorScalar or FockVector.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .diffpoly import DiffPoly
 from .functionals import bounded_partitions, integrand_normal_form, poisson_density
@@ -126,9 +124,6 @@ class Partition(namedtuple("Partition", "parts", defaults=((),))):
     @property
     def momentum(self) -> int:
         return sum(self.parts)
-
-    def add(self, extra) -> Partition:
-        return Partition(tuple(sorted(self.parts + tuple(extra), reverse=True)))
 
     def __str__(self) -> str:
         return ",".join(str(k) for k in self.parts) if self.parts else "0"
@@ -229,46 +224,58 @@ class FockVector(SparseMap):
         return " + ".join(f"({amp})|{lam}>" for lam, amp in self.terms_sorted())
 
 
-def _submultisets(parts: tuple, max_size: int):
+@lru_cache(maxsize=None)
+def _submultisets(parts: tuple, max_size: int) -> tuple:
     """Splits of descending parts into a sub-multiset of at most max_size
-    elements, as (value, count) pairs, and the descending rest."""
+    elements, as descending (value, count) pairs, the descending rest and
+    the number of ordered ways to draw the sub-multiset from the parts."""
     if not parts:
-        yield (), ()
-        return
+        return (((), (), 1),)
     k = parts[0]
     mult = parts.count(k)
-    for take in range(min(mult, max_size) + 1):
-        for tail, left in _submultisets(parts[mult:], max_size - take):
-            yield (((k, take),) if take else ()) + tail, parts[take:mult] + left
+    return tuple(
+        ((((k, take),) if take else ()) + tail, parts[take:mult] + left,
+         math.perm(mult, take) * draws)
+        for take in range(min(mult, max_size) + 1)
+        for tail, left, draws in _submultisets(parts[mult:], max_size - take)
+    )
 
 
 @lru_cache(maxsize=None)
-def _assignment_count(
-    groups: tuple[tuple[int, int], ...], values: tuple[tuple[int, int], ...]
-) -> int:
+def _assignment_count(groups: tuple, values: tuple) -> int:
     """Sum over ordered tuples realizing a mode multiset, without the i^j.
 
     ``groups`` lists (jet index, free slots) for the monomial's positions;
-    ``values`` lists (mode value, count) with matching totals.  The first
-    value puts ``take`` copies into a group of jet j and ``cap`` slots in
-    comb(cap, take) ways with symbol v^(j*take), so a zero mode contributes
-    0 where j > 0; the rest is the same count on the slots left.  Every slot
-    is filled, so the dropped phase is i^J for the jet weight J.
+    ``values`` lists (mode value, count) with matching totals.  One group of
+    jet j takes them in multinomial many orders, each with symbol
+    prod v^(j*count).  Otherwise the first value puts ``take`` copies into a
+    group of jet j and ``cap`` slots in comb(cap, take) ways with symbol
+    v^(j*take), the last group taking what remains; the rest is the same
+    count on the slots left, where a group without any drops out.  So a zero
+    mode contributes 0 where j > 0, and as every slot is filled, the dropped
+    phase is i^J for the jet weight J.
     """
     if not values:
         return 1
+    if len(groups) == 1:
+        j, cap = groups[0]
+        n = math.factorial(cap)
+        for v, cnt in values:
+            n = n // math.factorial(cnt) * v ** (j * cnt)
+        return n
     (v, cnt), rest = values[0], values[1:]
+    last = len(groups) - 1
 
     def spread(gi: int, rem: int, left: tuple) -> int:
-        if gi == len(groups):
-            return 0 if rem else _assignment_count(left, rest)
         j, cap = groups[gi]
         total = 0
-        for take in range(min(rem, cap) + 1):
-            if take and j and not v:
+        for take in (rem,) if gi == last else range(min(rem, cap) + 1):
+            if take > cap or take and j and not v:
                 break
-            total += math.comb(cap, take) * v ** (j * take) * spread(
-                gi + 1, rem - take, left + ((j, cap - take),)
+            kept = left + ((j, cap - take),) if cap > take else left
+            total += math.comb(cap, take) * v ** (j * take) * (
+                _assignment_count(kept, rest) if gi == last
+                else spread(gi + 1, rem - take, kept)
             )
         return total
 
@@ -288,40 +295,38 @@ def _annihilated(jet_groups: tuple, ann: tuple) -> tuple:
     rows = []
     for creators in bounded_partitions(sum(k * a for k, a in ann), free):
         z = free - len(creators)
-        vals = accumulate(((-c, 1) for c in creators), dict(ann))
-        if z:
-            vals[0] = z
-        amp = n * _assignment_count(jet_groups, tuple(sorted(vals.items())))
+        # the memo key lists mode values ascending: created, zero, annihilated
+        values = tuple((-c, creators.count(c)) for c in dict.fromkeys(creators))
+        values += ((0, z),) + ann[::-1] if z else ann[::-1]
+        amp = n * _assignment_count(jet_groups, values)
         if amp:
-            amp = (0, amp) if phase % 2 else (amp, 0)
-            rows.append((Partition(creators), (size_a, z), amp))
+            rows.append((creators, (size_a, z), (0, amp) if phase % 2 else (amp, 0)))
     return tuple(rows)
 
 
-def _monomial_terms(jet_groups, pool: Partition, ways):
+def _monomial_terms(jet_groups, pool: tuple, ways=None):
     """Every term of the bare monomial prod u_j acting on the parts in pool,
     as (untouched parts, created parts, (hbar, p0), (re, im)) rows, no two
     with one key.  ``ways(ann)`` counts the ways to draw the annihilated
-    (part, count) pairs ``ann`` from the state; zero skips them."""
-    for ann, left in _submultisets(pool.parts, sum(c for _, c in jet_groups)):
-        n = ways(ann)
+    (part, count) pairs ``ann`` (default: any draw from pool); 0 skips."""
+    for ann, left, draws in _submultisets(pool, sum(c for _, c in jet_groups)):
+        n = draws if ways is None else ways(ann)
         if n:
-            stripped = Partition(left)
             for created, hp, (re, im) in _annihilated(jet_groups, ann):
-                yield stripped, created, hp, (n * re, n * im)
+                yield left, created, hp, (n * re, n * im)
 
 
-def _gauss_sum(rows, out=None) -> dict:
-    """Sum (key, (re, im)) rows into ``out``, dropping the sums that vanish."""
-    out = {} if out is None else out
-    for key, c in rows:
-        acc = out.get(key)
-        out[key] = c if acc is None else (acc[0] + c[0], acc[1] + c[1])
-    return {key: c for key, c in out.items() if c[0] or c[1]}
+def _merged(a: tuple, b: tuple) -> tuple:
+    """The descending union of two descending parts tuples."""
+    return tuple(sorted(a + b, reverse=True)) if a and b else a or b
 
 
-def _minus(x: dict, y: dict) -> dict:
-    return _gauss_sum(((k, (-a, -b)) for k, (a, b) in y.items()), dict(x))
+_sums = partial(defaultdict, partial(list, (0, 0)))  # keys to [re, im] from [0, 0]
+
+
+def _nonzero(acc: dict) -> dict:
+    """The accumulated [re, im] sums as (re, im) pairs, without the zeros."""
+    return {key: (re, im) for key, (re, im) in acc.items() if re or im}
 
 
 def _scaled(pairs) -> tuple[int, tuple]:
@@ -344,58 +349,61 @@ def _integral(f: DiffPoly) -> tuple[int, tuple]:
 
 
 def _realize(rows: dict, scale: int) -> FockVector:
-    """Summed ((state, hbar, p0), (re, im)) rows over their scale, in Q(i)."""
-    by_state: dict[Partition, dict] = {}
+    """Summed ((parts, hbar, p0), (re, im)) rows over their scale, in Q(i)."""
+    by_state = defaultdict(dict)
     for (state, h, p), (re, im) in rows.items():
-        amps = by_state.setdefault(state, {})
-        amps[h, p] = Scalar(Fraction(re, scale), Fraction(im, scale))
-    return FockVector({s: SectorScalar(amps) for s, amps in by_state.items()})
+        by_state[state][h, p] = Scalar(Fraction(re, scale), Fraction(im, scale))
+    return FockVector({Partition(s): SectorScalar(a) for s, a in by_state.items()})
 
 
 @lru_cache(maxsize=None)
-def _split_apply(jet_groups: tuple, lam: Partition) -> tuple:
-    """Apply the coefficient-free monomial prod u_j to a basis state.
+def _split_apply(jet_groups: tuple, lam: tuple) -> tuple:
+    """Apply the coefficient-free monomial prod u_j to the basis state lam.
 
     Returns the rows of :func:`_monomial_terms`, keeping the state's
     untouched parts separate from the freshly created ones.
     """
-    def ways(ann) -> int:
-        return math.prod(math.perm(lam.parts.count(k), a) for k, a in ann)
-
-    return tuple(_monomial_terms(jet_groups, lam, ways))
+    return tuple(_monomial_terms(jet_groups, lam))
 
 
 @lru_cache(maxsize=None)
-def _apply_to_basis(f: DiffPoly, lam: Partition) -> tuple:
-    """f-hat |lam> as summed ((state, hbar, p0), (re, im)) rows, scale D_f."""
-    return tuple(
-        _gauss_sum(
-            ((stripped.add(created.parts), h + mono.hbar, p),
-             (a * c - b * d, a * d + b * c))
-            for mono, (a, b) in _integral(f)[1]
-            for stripped, created, (h, p), (c, d) in _split_apply(mono.uexp, lam)
-        ).items()
-    )
+def _apply_to_basis(f: DiffPoly, lam: tuple) -> tuple:
+    """f-hat |lam> as summed ((parts, hbar, p0), (re, im)) rows, scale D_f."""
+    out = _sums()
+    for mono, (a, b) in _integral(f)[1]:
+        for kept, created, (h, p), (c, d) in _split_apply(mono.uexp, lam):
+            acc = out[_merged(kept, created), h + mono.hbar, p]
+            acc[0] += a * c - b * d
+            acc[1] += a * d + b * c
+    return tuple(_nonzero(out).items())
 
 
 def _act(f: DiffPoly, rows) -> dict:
-    """f-hat on ((state, hbar, p0), (re, im)) rows; the result's scale is
-    theirs times D_f.  Rows are grouped by state, so each column is read
-    once per state."""
-    by_state: dict[Partition, list] = {}
-    for (lam, h, p), c in rows:
-        by_state.setdefault(lam, []).append((h, p, c))
-    return _gauss_sum(
-        ((mu, h1 + h2, p1 + p2), (a * c - b * d, a * d + b * c))
-        for lam, amps in by_state.items()
-        for (mu, h2, p2), (c, d) in _apply_to_basis(f, lam)
-        for h1, p1, (a, b) in amps
-    )
+    """f-hat on ((parts, hbar, p0), (re, im)) rows, as sums that may
+    vanish; their scale is the rows' times D_f.  Each row reads its state's
+    memoized column: grouping the rows by state would save lookups, but the
+    grouping costs more than they do."""
+    out = _sums()
+    for (lam, h1, p1), (a, b) in rows:
+        for (mu, h2, p2), (c, d) in _apply_to_basis(f, lam):
+            acc = out[mu, h1 + h2, p1 + p2]
+            acc[0] += a * c - b * d
+            acc[1] += a * d + b * c
+    return out
+
+
+def _minus(x: dict, y: dict) -> dict:
+    """The sums x less the rows y, without zeros; x is used up."""
+    for key, (re, im) in y.items():
+        acc = x[key]
+        acc[0] -= re
+        acc[1] -= im
+    return _nonzero(x)
 
 
 def _vector_rows(v: FockVector) -> tuple[int, tuple]:
     return _scaled(
-        ((lam, h, p), c) for lam, amp in v.terms() for (h, p), c in amp.terms()
+        ((lam.parts, h, p), c) for lam, amp in v.terms() for (h, p), c in amp.terms()
     )
 
 
@@ -414,16 +422,16 @@ def commutator_apply(f: DiffPoly, g: DiffPoly, v: FockVector) -> FockVector:
 
 
 @lru_cache(maxsize=None)
-def _tracked_single(jet_groups: tuple, plain: Partition, marked: Partition) -> tuple:
+def _tracked_single(jet_groups: tuple, plain: tuple, marked: tuple) -> tuple:
     """Apply a bare monomial, keeping terms that hit the marked pool once.
 
     The state consists of two pools of parts.  Annihilators may draw from
     either; this keeps exactly the terms where a single annihilation lands
     in the marked pool, which is how one isolates the part of an operator
     product with exactly one cross pairing.  Output parts are merged again,
-    so rows are (state, (hbar, p0), (re, im)) and several may share a key.
+    so rows are (parts, (hbar, p0), (re, im)) and several may share a key.
     """
-    p_counts, m_counts = plain.parts.count, marked.parts.count
+    p_counts, m_counts = plain.count, marked.count
 
     def ways(ann) -> int:
         # exactly one marked part: one of kstar's astar draws, m_counts(kstar)
@@ -434,32 +442,27 @@ def _tracked_single(jet_groups: tuple, plain: Partition, marked: Partition) -> t
             for kstar, astar in ann
         )
 
-    pool = plain.add(marked.parts)
-    return tuple(
-        (stripped.add(created.parts), hp, amp)
-        for stripped, created, hp, amp in _monomial_terms(jet_groups, pool, ways)
-    )
+    rows = _monomial_terms(jet_groups, _merged(plain, marked), ways)
+    return tuple((_merged(kept, created), hp, amp) for kept, created, hp, amp in rows)
 
 
-def _cross_once(f: DiffPoly, g: DiffPoly, lam: Partition) -> dict:
+def _cross_once(f: DiffPoly, g: DiffPoly, lam: tuple) -> dict:
     """Terms of f-hat (g-hat |lam>) where f pairs with g's output exactly
-    once, as summed rows of scale D_f * D_g."""
-
-    def terms():
-        for mono_g, (a, b) in _integral(g)[1]:
-            for stripped, created, (hg, pg), (c, d) in _split_apply(mono_g.uexp, lam):
-                if not created.parts:
-                    continue
-                sa, sb = a * c - b * d, a * d + b * c
-                for mono_f, (e, k) in _integral(f)[1]:
-                    fa, fb = sa * e - sb * k, sa * k + sb * e
-                    h0 = hg + mono_g.hbar + mono_f.hbar
-                    for mu, (h, p), (x, y) in _tracked_single(
-                        mono_f.uexp, stripped, created
-                    ):
-                        yield (mu, h0 + h, pg + p), (x * fa - y * fb, x * fb + y * fa)
-
-    return _gauss_sum(terms())
+    once, as sums of scale D_f * D_g that may vanish."""
+    out = _sums()
+    for mono_g, (a, b) in _integral(g)[1]:
+        for kept, created, (hg, pg), (c, d) in _split_apply(mono_g.uexp, lam):
+            if not created:
+                continue
+            sa, sb = a * c - b * d, a * d + b * c
+            for mono_f, (e, k) in _integral(f)[1]:
+                fa, fb = sa * e - sb * k, sa * k + sb * e
+                h0 = hg + mono_g.hbar + mono_f.hbar
+                for mu, (h, p), (x, y) in _tracked_single(mono_f.uexp, kept, created):
+                    acc = out[mu, h0 + h, pg + p]
+                    acc[0] += x * fa - y * fb
+                    acc[1] += x * fb + y * fa
+    return out
 
 
 def single_contraction_apply(
@@ -472,8 +475,8 @@ def single_contraction_apply(
     no pairing cancel between the two orders.  This isolates the terms with
     exactly one, which carry the entire first-order content of the bracket.
     """
-    scale = _integral(f)[0] * _integral(g)[0]
-    return _realize(_minus(_cross_once(f, g, lam), _cross_once(g, f, lam)), scale)
+    cross = _minus(_cross_once(f, g, lam.parts), _cross_once(g, f, lam.parts))
+    return _realize(cross, _integral(f)[0] * _integral(g)[0])
 
 
 PairStatus = namedtuple("PairStatus", "d1 d2 mmax status")
@@ -500,14 +503,13 @@ def check_commute(d1: int, d2: int, mmax: int) -> CommuteReport:
     max_dim = 0
     for m in range(mmax + 1):
         for lam in partitions_of(m):
-            fv = _apply_to_basis(f, lam)
-            gv = _apply_to_basis(g, lam)
+            fv, gv = _apply_to_basis(f, lam.parts), _apply_to_basis(g, lam.parts)
             # states, not (state, hbar, p0) keys
             max_dim = max(max_dim, *(len({k[0] for k, _ in v}) for v in (fv, gv)))
             # both orders carry the scale D_f * D_g, so their rows compare as ints
-            fg, gf = _act(f, gv), _act(g, fv)
-            if fg != gf:
-                w = _realize(_minus(fg, gf), _integral(f)[0] * _integral(g)[0])
+            diff = _minus(_act(f, gv), _act(g, fv))
+            if diff:
+                w = _realize(diff, _integral(f)[0] * _integral(g)[0])
                 mu, amp = w.terms_sorted()[0]
                 raise CommutatorNonzero(d1, d2, lam, mu, amp)
     return CommuteReport(

@@ -12,9 +12,8 @@ functionals and the normal form, which the Fock kernel acts with.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
-from . import linalg
 from .diffpoly import (
     DiffMonomial,
     DiffPoly,
@@ -100,12 +99,16 @@ def bounded_partitions(t: int, max_parts: int, max_part: int | None = None):
 
 @lru_cache(maxsize=None)
 def _dx_image(grade: int, weight: int):
-    """The (grade, weight) monomials and the reduced image of dx from the
-    (grade-1, weight-1) component, as (targets, reduced rows, pivots).
+    """The (grade, weight) monomials, the pivots of the reduced image of dx
+    from the (grade-1, weight-1) component, and the reduction of a
+    coordinate vector against that image, as (targets, pivots, reduce).
 
     Tuples throughout, as every caller shares the memoized result; the rows
-    hold Fractions, zeros included, so elimination never sees an int.
+    hold Fractions, zeros included, so elimination never sees an int.  This
+    is the one place that binds linalg, so a density request never loads it.
     """
+    from . import linalg
+
     targets = tuple(component_monomials(grade, weight))
     index = {mono: i for i, mono in enumerate(targets)}
     rows = []
@@ -115,7 +118,10 @@ def _dx_image(grade: int, weight: int):
             vec[index[mono]] = c.re
         rows.append(vec)
     reduced, pivots = linalg.rref(rows)
-    return targets, tuple(map(tuple, reduced)), tuple(pivots)
+    pivots = tuple(pivots)
+    reduced = tuple(map(tuple, reduced))
+    reduce = partial(linalg.reduce_against, reduced=reduced, pivots=pivots)
+    return targets, pivots, reduce
 
 
 def functional_basis(grade: int, weight: int) -> list[LocalFunctional]:
@@ -125,7 +131,7 @@ def functional_basis(grade: int, weight: int) -> list[LocalFunctional]:
     (grade-1, weight-1) component, and returns the monomials at non-pivot
     coordinates of that image.  The empty list is a valid answer.
     """
-    targets, _, pivots = _dx_image(grade, weight)
+    targets, pivots, _ = _dx_image(grade, weight)
     return [
         to_functional(DiffPoly({mono: Scalar.of(1)}))
         for i, mono in enumerate(targets)
@@ -149,10 +155,10 @@ def integrand_normal_form(f: DiffPoly) -> DiffPoly:
         blocks.setdefault(key, {})[bare] = c
     out = {}
     for (h, grade, weight), coeffs in sorted(blocks.items()):
-        targets, reduced, pivots = _dx_image(grade, weight)
+        targets, _, reduce = _dx_image(grade, weight)
         # the image is over Q, so the real and imaginary parts reduce apart
         parts = zip(*(coeffs.get(mono, ZERO) for mono in targets))
-        re, im = (linalg.reduce_against(x, reduced, pivots) for x in parts)
+        re, im = map(reduce, parts)
         out.update(
             (DiffMonomial(t.uexp, h), Scalar(a, b)) for t, a, b in zip(targets, re, im)
         )

@@ -68,11 +68,6 @@ def _kernel(reduced: list[Row], pivots: list[int], ncols: int) -> list[Row]:
     return basis
 
 
-def nullspace(rows: list[Row], ncols: int) -> list[Row]:
-    """A basis of the right kernel, one vector per free column."""
-    return _kernel(*rref(rows), ncols)
-
-
 def solve_affine(
     rows: list[Row], rhs: list[Scalar], ncols: int
 ) -> tuple[list[Scalar] | None, list[Row]]:

@@ -40,9 +40,6 @@ class Scalar(namedtuple("Scalar", "re im", defaults=(Fraction(0), Fraction(0))))
     def is_zero(self) -> bool:
         return not self.re and not self.im
 
-    def is_real(self) -> bool:
-        return not self.im
-
     def __bool__(self) -> bool:
         return not self.is_zero()
 
@@ -111,9 +108,6 @@ class Scalar(namedtuple("Scalar", "re im", defaults=(Fraction(0), Fraction(0))))
             base = base * base
             n >>= 1
         return out
-
-    def conjugate(self) -> Scalar:
-        return Scalar(self.re, -self.im)
 
     def __str__(self) -> str:
         if not self.im:

@@ -176,6 +176,24 @@ def test_s_series_keeps_its_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, fmt
 
 
+# sha256 of the stdout of the benchmark's `solve` jobs, frozen while the Fock
+# kernel still keyed its rows by Partition; `perfbench/reference.json` holds
+# the same digests, which only a benchmark run checks
+FROZEN_SOLVE_SHA256 = {
+    ("reconstruct", "-d", "1", "-G", "2", "--compare"):
+        "0f9dd2903e35e3d137f5b80e50eae72e61193ceca331a3253d381e358066a113",
+    ("verify-all", "--level", "quick", "--format", "json"):
+        "b7ff85304964b0ab4b190ffc22d1857d60a19b7a44d589ec577ec86f0a7910c7",
+}
+
+
+def test_solve_jobs_keep_their_bytes(capsys):
+    for argv, digest in FROZEN_SOLVE_SHA256.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
 def test_intersect_dimension_error(capsys):
     code, out, err = run(capsys, "intersect", "-d", "0", "-g", "5")
     assert code == 2

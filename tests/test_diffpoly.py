@@ -32,8 +32,8 @@ u = DiffPoly.u
 def test_basic_construction():
     f = u(0, 2) + 3 * u(1)
     # cancelling sums store nothing: the constructor drops zero coefficients
-    assert (f + (-f)).monomial_count() == 0
-    assert f.monomial_count() == 2
+    assert len(f + (-f)) == 0
+    assert len(f) == 2
     assert f.coefficient(DiffMonomial(((0, 2),), 0)) == Scalar.of(1)
     assert f.coefficient(DiffMonomial(((1, 1),), 0)) == Scalar.of(3)
     assert f.max_jet() == 1 and f.max_hbar() == 0
@@ -50,7 +50,7 @@ def test_dx_on_generators():
     # the u1*u2 terms of the two summands cancel inside one dx
     cancel = dx(u(1, 2) / 2 - u(0) * u(2))
     assert cancel == -u(0) * u(3)
-    assert cancel.monomial_count() == 1
+    assert len(cancel) == 1
 
 
 @given(diff_polys, diff_polys)
@@ -58,7 +58,7 @@ def test_dx_is_a_derivation(f, g):
     lhs = dx(f * g)
     assert lhs == dx(f) * g + f * dx(g)
     assert stores_no_zero(lhs) and stores_no_zero(f * g)
-    assert (f * g - g * f).monomial_count() == 0
+    assert len(f * g - g * f) == 0
 
 
 @given(diff_polys, diff_polys, small_scalar)
@@ -186,7 +186,7 @@ def test_json_duplicate_terms_are_summed():
 
     one = {"c": {"re": "1", "im": "0"}, "hbar": 0, "u": {"0": 2}}
     f = from_json_dict({"terms": [term("1/2"), one, term("-1/2")]})
-    assert f == u(0, 2) and f.monomial_count() == 1
+    assert f == u(0, 2) and len(f) == 1
     half = DiffPoly.term(Scalar.of("1/2"), ((2, 1),), hbar=1)
     assert from_json_dict({"terms": [term("1/3"), term("1/6")]}) == half
 

@@ -110,9 +110,9 @@ def _sector_vector(terms) -> FockVector:
 def scalar_basis(f: DiffPoly, lam: Partition) -> FockVector:
     """f-hat |lam> in Q(i): one Scalar product per enumeration row."""
     return _sector_vector(
-        ((stripped.add(created.parts), h + mono.hbar, p), Scalar.of(*amp) * c)
+        ((Partition.make(kept + created), h + mono.hbar, p), Scalar.of(*amp) * c)
         for mono, c in f.terms()
-        for stripped, created, (h, p), amp in _split_apply(mono.uexp, lam)
+        for kept, created, (h, p), amp in _split_apply(mono.uexp, lam.parts)
     )
 
 
@@ -138,13 +138,13 @@ def scalar_single_contraction(
 ) -> FockVector:
     def cross_once(f, g):
         return _sector_vector(
-            ((mu, hg + mono_g.hbar + mono_f.hbar + h, pg + p),
+            ((Partition(mu), hg + mono_g.hbar + mono_f.hbar + h, pg + p),
              Scalar.of(*amp_f) * Scalar.of(*amp_g) * cg * cf)
             for mono_g, cg in g.terms()
-            for stripped, created, (hg, pg), amp_g in _split_apply(mono_g.uexp, lam)
-            if created.parts
+            for kept, created, (hg, pg), amp_g in _split_apply(mono_g.uexp, lam.parts)
+            if created
             for mono_f, cf in f.terms()
-            for mu, (h, p), amp_f in _tracked_single(mono_f.uexp, stripped, created)
+            for mu, (h, p), amp_f in _tracked_single(mono_f.uexp, kept, created)
         )
 
     return cross_once(f, g) - cross_once(g, f)
@@ -188,7 +188,7 @@ def test_partition_type():
     lam = Partition.make([1, 3, 1])
     assert lam.parts == (3, 1, 1)
     assert lam.momentum == 5
-    assert lam.add([2]) == Partition.make([1, 1, 2, 3])
+    assert Partition.make(lam.parts + (2,)) == Partition.make([1, 1, 2, 3])
     with pytest.raises(ValueError):
         Partition.make([0, 1])
     assert [len(partitions_of(m)) for m in range(7)] == [1, 1, 2, 3, 5, 7, 11]
@@ -545,12 +545,16 @@ def test_split_apply_has_one_row_per_key():
             r = sum(e for _, e in mono.uexp)
             for m in range(6):
                 for lam in partitions_of(m):
-                    rows = _split_apply(mono.uexp, lam)
+                    rows = _split_apply(mono.uexp, lam.parts)
                     keys = {(kept, created) for kept, created, _, _ in rows}
                     assert len(keys) == len(rows)
                     for kept, created, (h, p), amp in rows:
+                        # plain descending parts tuples, no Partition
+                        for parts in (kept, created):
+                            assert type(parts) is tuple
+                            assert list(parts) == sorted(parts, reverse=True)
                         # a nonzero Gaussian integer, real or imaginary
                         assert [type(x) for x in amp] == [int, int]
                         assert amp != (0, 0) and 0 in amp
-                        assert h == len(lam.parts) - len(kept.parts)
-                        assert p == r - h - len(created.parts)
+                        assert h == len(lam.parts) - len(kept)
+                        assert p == r - h - len(created)

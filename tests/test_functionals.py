@@ -105,7 +105,7 @@ def test_basis_dimension_against_independent_rank(grade, weight):
         image = dx(DiffPoly.term(1, m.uexp, hbar=m.hbar))
         col = [0] * len(target)
         for mono, c in image.terms():
-            assert c.is_real()
+            assert not c.im
             col[index[mono]] = sympy.Rational(c.re)
         cols.append(col)
     rank = sympy.Matrix(cols).T.rank() if cols else 0

@@ -71,7 +71,7 @@ def test_s_series_against_sympy_exponential():
         expected = series.coeff(z, k)
         got = sympy.Integer(0)
         for mono, c in ours.coeff(k).terms():
-            assert c.is_real() and mono.hbar == 0
+            assert not c.im and mono.hbar == 0
             term = sympy.Rational(c.re)
             for j, e in mono.uexp:
                 term *= uj[j] ** e
@@ -279,7 +279,7 @@ def test_expansion_is_integral_until_one_division(monkeypatch):
     assert all(type(den) is int for _, den in wrapped)
     assert all(type(c) is int for t, _ in wrapped for c in t.values())
     assert [sum(map(bool, t.values())) for t, _ in wrapped] == list(map(len, scaled))
-    assert all(c.is_real() for f in scaled for _, c in f.terms())
+    assert all(not c.im for f in scaled for _, c in f.terms())
 
 
 def test_dr_density_differs_by_a_total_derivative():

@@ -88,6 +88,20 @@ def test_import_qkdv_runs_only_the_root_and_version_modules():
     assert loaded.isdisjoint({"fractions", "json", "argparse"})
 
 
+def test_a_density_request_through_the_api_leaves_linalg_unloaded(tmp_path):
+    # functionals imports linalg only where it reduces a normal form
+    out = run_fresh(
+        "import os, sys\n"
+        f"os.environ['QKDV_CACHE'] = {str(tmp_path)!r}\n"
+        "import qkdv\n"
+        "record = qkdv.wang_hamiltonian(2)\n"
+        "print('qkdv.functionals' in sys.modules, 'qkdv.linalg' in sys.modules)\n"
+        "record.functional.normal_form()\n"
+        "print('qkdv.linalg' in sys.modules)\n"
+    )
+    assert out == "True False\nTrue\n"
+
+
 @pytest.mark.parametrize(
     "argv, executed",
     [
