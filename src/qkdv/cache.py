@@ -1,9 +1,10 @@
 """On-disk cache for computed Hamiltonian densities, and where it lives.
 
-This module alone decides the directory: the ``--cache-dir`` of the running
-command (:func:`choose_dir`, set by the CLI for the length of one command),
-else a non-empty ``$QKDV_CACHE``, else ``./.qkdv-cache``.  The choice is read
-on every memo miss, so API callers pick the directory with ``$QKDV_CACHE``.
+This module alone decides the directory: a non-empty ``--cache-dir`` of the
+running command (:func:`choose_dir`, set by the CLI for the length of one
+command), else a non-empty ``$QKDV_CACHE``, else ``./.qkdv-cache``.  The
+choice is read on every memo miss, so API callers pick the directory with
+``$QKDV_CACHE``.
 
 Everything stored here is derived data: deleting the cache directory changes
 nothing but runtime.  Entries are keyed by the index d and the engine
@@ -32,7 +33,8 @@ _chosen = None  # the running command's --cache-dir, when it gave one
 
 
 def choose_dir(explicit: str | os.PathLike | None) -> str | os.PathLike | None:
-    """Make ``explicit`` (None: no ``--cache-dir``) the choice; return the old one."""
+    """Make ``explicit`` (None or empty: no ``--cache-dir``) the choice; return
+    the old one."""
     global _chosen
     previous, _chosen = _chosen, explicit
     return previous
@@ -40,9 +42,7 @@ def choose_dir(explicit: str | os.PathLike | None) -> str | os.PathLike | None:
 
 def density_path(d: int) -> Path:
     """The cache entry of H_d in the chosen directory."""
-    if _chosen is None:
-        return Path(os.environ.get(ENV_VAR) or DEFAULT_DIR, "wang", f"H_{d}.json")
-    return Path(_chosen, "wang", f"H_{d}.json")
+    return Path(_chosen or os.environ.get(ENV_VAR) or DEFAULT_DIR, "wang", f"H_{d}.json")
 
 
 def _checksum(terms) -> str:

@@ -496,8 +496,11 @@ class CommuteReport(namedtuple(
 def check_commute(d1: int, d2: int, mmax: int) -> CommuteReport:
     """Verify [H_d1, H_d2] = 0 on every partition of momentum <= mmax.
 
-    Raises :class:`CommutatorNonzero` with a witness on the first failure.
+    Raises :class:`CommutatorNonzero` with a witness on the first failure,
+    and ValueError for a negative mmax, which would check nothing.
     """
+    if mmax < 0:
+        raise ValueError("mmax must be >= 0")
     f = wang_hamiltonian(d1).density
     g = wang_hamiltonian(d2).density
     max_dim = 0
@@ -535,6 +538,8 @@ def classical_consistency(
     the operator product resolves one pairing at a time.  A wrong sign or
     scale anywhere in the mode conventions makes this fail loudly.
     """
+    if mmax < 0:
+        raise ValueError("mmax must be >= 0")
     if f.max_hbar() or g.max_hbar():
         raise ValueError("classical consistency needs hbar-free densities")
     # hbar is central, so hbar times the bracket's operator is that of hbar * p

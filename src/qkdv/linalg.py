@@ -6,13 +6,17 @@ Gauss-Jordan elimination that touches only the nonzero entries of each pivot
 row is both exact and fast.  Rows are lists of :class:`~qkdv.scalars.Scalar`
 or of :class:`~fractions.Fraction`; a pivot is inverted as ``Fraction(1) / x``,
 so no float can appear.  All functions leave their inputs untouched.
+
+An affine system A x + c = 0 is passed as its augmented rows [A | c], and one
+elimination gives what its callers read: one solution and the nullity of A,
+never a kernel basis.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ONE, ZERO, Scalar
+from .scalars import ZERO, Scalar
 
 Row = list[Scalar]
 
@@ -49,44 +53,24 @@ def _eliminate(r: Row, col: int, support) -> None:
             r[j] = r[j] - factor * b
 
 
-def _kernel(reduced: list[Row], pivots: list[int], ncols: int) -> list[Row]:
-    """Right-kernel basis of the first ``ncols`` columns of a reduced form.
+def solve_affine(rows: list[Row], ncols: int) -> tuple[list[Scalar] | None, int]:
+    """Solve A x + c = 0 exactly, given its augmented rows [A | c].
 
-    A pivot at column ``ncols`` or beyond (an augmented column) adds nothing.
+    Returns ``(particular, nullity)``.  particular is None when the system is
+    inconsistent (a pivot lands in column ``ncols``); otherwise it is the
+    solution with zero free coordinates, so it is deterministic.  nullity is
+    the dimension of the kernel of A, ``ncols`` minus its pivots; ``ncols``
+    is passed so that an empty row list still reports it.  The reduced form,
+    and so the result, does not depend on the order of the rows.
     """
-    pivot_set = set(pivots)
-    basis: list[Row] = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [ZERO] * ncols
-        vec[free] = ONE
-        for row, piv in zip(reduced, pivots):
-            if piv < ncols:
-                vec[piv] = -row[free]
-        basis.append(vec)
-    return basis
-
-
-def solve_affine(
-    rows: list[Row], rhs: list[Scalar], ncols: int
-) -> tuple[list[Scalar] | None, list[Row]]:
-    """Solve A x = rhs exactly.
-
-    Returns ``(particular, kernel_basis)``; particular is None when the
-    system is inconsistent.  The particular solution is the one with zero
-    free coordinates, so it is deterministic.  ``ncols`` must be passed
-    explicitly so that an empty row list still reports the full kernel.
-    One elimination of the augmented matrix yields both results.
-    """
-    reduced, pivots = rref([list(r) + [b] for r, b in zip(rows, rhs)])
-    kernel = _kernel(reduced, pivots, ncols)
-    if pivots and pivots[-1] == ncols:
-        return None, kernel
+    reduced, pivots = rref(rows)
+    rank = sum(1 for piv in pivots if piv < ncols)
+    if rank < len(pivots):
+        return None, ncols - rank
     x = [ZERO] * ncols
     for row, piv in zip(reduced, pivots):
-        x[piv] = row[ncols]
-    return x, kernel
+        x[piv] = -row[ncols]
+    return x, ncols - rank
 
 
 def reduce_against(vec: Row, reduced: list[Row], pivots: list[int]) -> Row:

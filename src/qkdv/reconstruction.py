@@ -8,7 +8,7 @@ The ansatz for index d through order G is
 and the defining constraint is that Q commute with the first nontrivial
 Hamiltonian in the Fock realization.  Each Fock sector contributes exact
 linear equations on the unknowns; the system is solved exactly, and
-uniqueness is certified by a zero-dimensional kernel.
+uniqueness is certified by nullity zero: a zero-dimensional kernel.
 
 When the weight grading rules out any block beyond hbar^G (the basis in
 grade 2g', weight d+2 is empty for every g' > G), the commutator is
@@ -23,11 +23,13 @@ creators summing to a positive total).  Truncated blocks therefore first
 show up at power G+3, while every retained block is still constrained.
 
 Sectors are added starting at momentum d + 2G + 1 and increased until the
-kernel collapses; the solution is then re-verified on two further momenta.
-The system is one table that grows with each new sector: a row per key
-(state, output state, hbar power, p0 power), a column per unknown and a last
-column for the classical part, which becomes the negated right-hand side.
-Each commutator is applied once, when its state's sector is added.
+nullity reaches zero; the solution is then re-verified on two further
+momenta.  The system is one table that grows with each new sector: a row per
+key (state, output state, hbar power, p0 power), a column per unknown and a
+last column for the classical part, so each row is already an augmented row
+of A x + c = 0.  The keys need only be distinct: the reduced row echelon
+form, and so the solution, does not depend on the order of the rows.  Each
+commutator is applied once, when its state's sector is added.
 """
 
 from __future__ import annotations
@@ -131,8 +133,8 @@ def _ansatz_complete(d: int, G: int) -> bool:
 
 def _window_terms(h1: DiffPoly, density: DiffPoly, lam, hmax: int | None):
     """The (key, coefficient) pairs of [density, H_1] applied to |lam>, within
-    the hbar window; keys are (state, output, hbar, p0), the states as their
-    parts, so sorted keys give the rows of the linear system in order."""
+    the hbar window; a key (state, output, hbar, p0), the states as their
+    parts, names one row of the linear system and need only be distinct."""
     out = commutator_apply(density, h1, FockVector.basis(lam))
     for mu, amp in out.terms():
         for (h, p), c in amp.terms():
@@ -150,6 +152,8 @@ def reconstruct_with_certificate(
 
 @lru_cache(maxsize=None)
 def _solve(d: int, G: int, mmax: int | None):
+    if mmax is not None and mmax < 0:
+        raise ValueError("mmax must be >= 0")
     ansatz = build_ansatz(d, G)
     h1 = wang_hamiltonian(1).density
     unknowns = ansatz.unknown_densities()
@@ -175,19 +179,16 @@ def _solve(d: int, G: int, mmax: int | None):
                         for key, c in _window_terms(h1, b, lam, hmax):
                             table[key][col] = c
             done = target + 1
-            rows = [table[key] for key in sorted(table)]
-            particular, kernel = solve_affine(
-                [row[:n] for row in rows], [-row[n] for row in rows], n
-            )
+            particular, nullity = solve_affine(list(table.values()), n)
             if particular is None:
                 raise InconsistentError(
                     f"no solution for d={d}, G={G} at momenta <= {target}"
                 )
-            trace.append((target, len(kernel)))
-            if not kernel:
+            trace.append((target, nullity))
+            if not nullity:
                 break
         else:
-            raise UnderdeterminedError(d, G, target, len(kernel))
+            raise UnderdeterminedError(d, G, target, nullity)
         for x, b in zip(particular, unknowns):
             density = density + b * x
 

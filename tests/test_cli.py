@@ -360,6 +360,20 @@ def test_cache_dir_flag_outranks_the_env_var_for_one_command(
     assert (env / "wang" / "H_2.json").exists()
 
 
+def test_empty_cache_dir_flag_means_no_flag(capsys, tmp_path, monkeypatch):
+    # an empty --cache-dir, like an empty $QKDV_CACHE, falls through to the
+    # next choice instead of naming the working directory
+    env, cwd = tmp_path / "env", tmp_path / "cwd"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)
+    monkeypatch.setenv("QKDV_CACHE", str(env))
+    clear_memory_memo()
+    code, _, _ = run(capsys, "--cache-dir", "", "hamiltonian", "-d", "1")
+    assert code == 0
+    assert (env / "wang" / "H_1.json").exists()
+    assert list(cwd.iterdir()) == []
+
+
 # The child imports the same qkdv as this process, installed or not.
 _PACKAGE_ROOT = str(Path(qkdv.__file__).resolve().parent.parent)
 

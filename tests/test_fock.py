@@ -314,6 +314,14 @@ def test_check_commute_pairs():
     assert check_commute(0, 2, 5).witness is None
 
 
+def test_negative_mmax_is_refused():
+    # momenta <= -1 hold no state, so a report would check nothing
+    with pytest.raises(ValueError):
+        check_commute(1, 2, -1)
+    with pytest.raises(ValueError):
+        classical_consistency(u(0, 3), u(1, 2), -1)
+
+
 def test_single_contraction_matches_poisson_bracket():
     """The one-pairing slice of the commutator is hbar times the bracket."""
     f, g = u(0, 3), u(1, 2)

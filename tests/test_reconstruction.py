@@ -90,6 +90,22 @@ def test_certificate_4_2_keeps_its_bytes():
     assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_4_2_SHA256
 
 
+# the same digests for the first targets with two hbar blocks, frozen while
+# the solve still split, negated and sorted its rows; (6, 2) is the first
+# target with a 2-dimensional hbar^2 block and a truncated window (4)
+CERTIFICATE_SHA256 = {
+    (5, 2): "8c1379af2924c030f908d14b72f18ed7c71091b21daa56f5eafa5dad642fbef3",
+    (6, 2): "81744900424b254f4a608b6f2b1731e5f71b7cb3e782f16dfad12b76a2be4275",
+}
+
+
+@pytest.mark.parametrize("d,G", sorted(CERTIFICATE_SHA256))
+def test_certificate_keeps_its_bytes(d, G):
+    _, cert = reconstruct_with_certificate(d, G)
+    text = json.dumps(cert.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CERTIFICATE_SHA256[d, G]
+
+
 def test_certificate_window_for_truncated_order():
     # H_4 carries a genuine hbar^2 block, so a G=1 ansatz is a truncation
     # and the constraints must be capped rather than imposed at all orders
@@ -110,8 +126,39 @@ def test_complete_ansatz_gets_full_window():
 
 
 def test_underdetermined_at_tiny_momentum():
-    with pytest.raises(UnderdeterminedError):
+    with pytest.raises(UnderdeterminedError) as info:
         reconstruct(2, 1, mmax=1)
+    assert info.value.kernel_dim == 1
+
+
+def test_negative_mmax_is_refused():
+    # momenta <= -1 hold no state, so the certificate would check nothing
+    with pytest.raises(ValueError):
+        reconstruct_with_certificate(1, 2, -1)
+
+
+def test_schedule_takes_a_second_step(monkeypatch):
+    # every target measured collapses at its first bound, so a solve that
+    # first reports one free direction is what drives the schedule on
+    _, plain = reconstruct_with_certificate(2, 1)
+    true = qkdv.reconstruction.solve_affine
+    nullities = []
+
+    def free_at_first(rows, ncols):
+        particular, nullity = true(rows, ncols)
+        nullities.append(nullity)
+        return particular, 1 if len(nullities) == 1 else nullity
+
+    qkdv.reconstruction._solve.cache_clear()
+    monkeypatch.setattr(qkdv.reconstruction, "solve_affine", free_at_first)
+    try:
+        _, cert = reconstruct_with_certificate(2, 1)
+    finally:
+        qkdv.reconstruction._solve.cache_clear()
+    assert nullities == [0, 0]
+    assert cert.kernel_trace == ((5, 1), (6, 0))
+    assert cert.mmax_used == 6 and cert.verified_momenta == tuple(range(9))
+    assert cert.density == plain.density
 
 
 def test_cross_integrability_of_reconstruction():
