@@ -1,13 +1,7 @@
 """Command line entry point.
 
-Subcommands:
-
-    hamiltonian   print one Hamiltonian density (text, JSON or LaTeX)
-    s-series      print generating-series coefficients up to an order
-    commute       check one pair of Hamiltonians on bounded momenta
-    reconstruct   rebuild a density from commutation constraints
-    intersect     print a predicted stratum polynomial
-    verify-all    run the whole verification suite
+The subcommands, with their help, handlers and options, are the table
+COMMANDS below.
 
 Every command exits 0 exactly when its check or computation succeeds,
 1 on a mathematical failure, and 2 on a usage error.  Output bytes are
@@ -35,21 +29,20 @@ def _lazy(name: str) -> None:
 # density request never reduces a normal form.  functionals imports linalg
 # only to reduce one, so registering linalg here only keeps it in sys.modules
 # for perfbench/traced_job.py, which spans linalg.rref from the start.
-# argparse comes after the core modules: imported first, it raised the peak
-# memory of a density request.
 for _name in ("fock", "intersection", "linalg", "reconstruction", "render", "verify"):
     _lazy(_name)
 from . import (
     cache, diffpoly, fock, hierarchy, intersection, reconstruction, render, verify,
 )
 from ._version import ENGINE_VERSION
-import argparse
 import json
+from types import SimpleNamespace
 
 
 def _index(value: str) -> int:
     iv = int(value)
     if iv < -1:
+        import argparse
         raise argparse.ArgumentTypeError("index must be >= -1")
     return iv
 
@@ -57,6 +50,7 @@ def _index(value: str) -> int:
 def _nonneg(value: str) -> int:
     iv = int(value)
     if iv < 0:
+        import argparse
         raise argparse.ArgumentTypeError("value must be >= 0")
     return iv
 
@@ -179,64 +173,105 @@ def cmd_verify_all(args) -> int:
     return 0 if summary.passed else 1
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qkdv",
-        description="Exact engine for a quantized dispersionless KdV hierarchy.",
-    )
-    parser.add_argument(
-        "--cache-dir",
-        default=None,
-        help="density cache directory (default: $QKDV_CACHE or ./.qkdv-cache)",
-    )
+def _opt(*flags, **kwargs):
+    return flags, kwargs
+
+
+_FORMATS = ("text", "json", "latex")
+_CACHE_DIR = _opt("--cache-dir", default=None, help=(
+    "density cache directory (default: $QKDV_CACHE or ./.qkdv-cache)"))
+# Each subcommand's help, handler and options, the options as add_argument
+# takes them: build_parser builds argparse from this table, and _parse_plain
+# reads the documented spellings from it without argparse.
+COMMANDS = {
+    "hamiltonian": ("print one Hamiltonian density", cmd_hamiltonian, (
+        _opt("-d", type=_index, required=True, help="hierarchy index, >= -1"),
+        _opt("--format", choices=_FORMATS, default="text"))),
+    "s-series": ("print generating-series coefficients", cmd_s_series, (
+        _opt("-k", "--kmax", type=_nonneg, required=True),
+        _opt("--format", choices=_FORMATS, default="text"))),
+    "commute": ("check one commutator on bounded momenta", cmd_commute, (
+        _opt("--d1", type=_index, required=True),
+        _opt("--d2", type=_index, required=True),
+        _opt("--mmax", type=_nonneg, default=6),
+        _opt("--format", choices=_FORMATS[:2], default="text"))),
+    "reconstruct": ("rebuild a density from commutation constraints", cmd_reconstruct, (
+        _opt("-d", type=_index, required=True),
+        _opt("-G", type=_nonneg, required=True, help="highest hbar order"),
+        _opt("--mmax", type=_nonneg, default=None),
+        _opt("--compare", action="store_true",
+             help="also compare against the closed-form density"))),
+    "intersect": ("print a predicted stratum polynomial", cmd_intersect, (
+        _opt("-d", type=_index, required=True),
+        _opt("-g", type=_nonneg, required=True, help="genus, >= 0"),
+        _opt("--format", choices=_FORMATS, default="text"))),
+    "verify-all": ("run the whole verification suite", cmd_verify_all, (
+        _opt("--level", choices=("quick", "full"), default="quick"),
+        _opt("--format", choices=_FORMATS[:2], default="text"))),
+}
+
+
+def build_parser():
+    import argparse
+    parser = argparse.ArgumentParser(prog="qkdv", description=(
+        "Exact engine for a quantized dispersionless KdV hierarchy."))
+    parser.add_argument(*_CACHE_DIR[0], **_CACHE_DIR[1])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("hamiltonian", help="print one Hamiltonian density")
-    p.add_argument("-d", type=_index, required=True, help="hierarchy index, >= -1")
-    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p.set_defaults(func=cmd_hamiltonian)
-
-    p = sub.add_parser("s-series", help="print generating-series coefficients")
-    p.add_argument("-k", "--kmax", type=_nonneg, required=True)
-    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p.set_defaults(func=cmd_s_series)
-
-    p = sub.add_parser("commute", help="check one commutator on bounded momenta")
-    p.add_argument("--d1", type=_index, required=True)
-    p.add_argument("--d2", type=_index, required=True)
-    p.add_argument("--mmax", type=_nonneg, default=6)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_commute)
-
-    p = sub.add_parser(
-        "reconstruct", help="rebuild a density from commutation constraints"
-    )
-    p.add_argument("-d", type=_index, required=True)
-    p.add_argument("-G", type=_nonneg, required=True, help="highest hbar order")
-    p.add_argument("--mmax", type=_nonneg, default=None)
-    p.add_argument(
-        "--compare",
-        action="store_true",
-        help="also compare against the closed-form density",
-    )
-    p.set_defaults(func=cmd_reconstruct)
-
-    p = sub.add_parser("intersect", help="print a predicted stratum polynomial")
-    p.add_argument("-d", type=_index, required=True)
-    p.add_argument("-g", type=_nonneg, required=True, help="genus, >= 0")
-    p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-    p.set_defaults(func=cmd_intersect)
-
-    p = sub.add_parser("verify-all", help="run the whole verification suite")
-    p.add_argument("--level", choices=("quick", "full"), default="quick")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.set_defaults(func=cmd_verify_all)
-
+    for name, (summary, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flags, kwargs in options:
+            p.add_argument(*flags, **kwargs)
+        p.set_defaults(func=func)
     return parser
 
 
+def _read(options, tokens: list, args: dict) -> bool:
+    """Set each option's default in args, then read full flags off the front
+    of tokens, each with its value in the next token.  False where argparse
+    might read the tokens otherwise, or would refuse them."""
+    by_flag = {}
+    for flags, kwargs in options:
+        dest = max(flags, key=len).lstrip("-").replace("-", "_")
+        args[dest] = kwargs.get("default", False if "action" in kwargs else None)
+        by_flag.update(dict.fromkeys(flags, (dest, kwargs)))
+    while tokens and tokens[0] in by_flag:
+        dest, kwargs = by_flag[tokens.pop(0)]
+        if "action" in kwargs:  # store_true
+            args[dest] = True
+            continue
+        value = tokens.pop(0) if tokens else "-"
+        # argparse reads "-" and ASCII digits as a value: decline any other "-"
+        if value[:1] == "-" and not (value[1:].isascii() and value[1:].isdigit()):
+            return False
+        try:
+            args[dest] = value = kwargs.get("type", str)(value)
+        except Exception:  # argparse reports it
+            return False
+        if value not in kwargs.get("choices", (value,)):
+            return False
+    # a required option has no default, and no type function returns None
+    return all(args[d] is not None for d, kw in by_flag.values() if kw.get("required"))
+
+
+def _parse_plain(argv):
+    """What build_parser().parse_args(argv) returns, without argparse, for an
+    optional leading --cache-dir DIR, a command and its options; None for
+    anything else (help, usage errors, --opt=value, abbreviations)."""
+    tokens, args = list(argv), {}
+    if not _read((_CACHE_DIR,), tokens, args) or not tokens:
+        return None
+    args["command"] = tokens.pop(0)
+    if args["command"] not in COMMANDS:
+        return None
+    _, args["func"], options = COMMANDS[args["command"]]
+    if not _read(options, tokens, args) or tokens:
+        return None
+    return SimpleNamespace(**args)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _parse_plain(argv) or build_parser().parse_args(argv)
     # --cache-dir holds for this command only, so no later API call inherits it
     previous = cache.choose_dir(args.cache_dir)
     try:

@@ -22,14 +22,14 @@ momentum conservation (the unpaired modes of one factor would have to be
 creators summing to a positive total).  Truncated blocks therefore first
 show up at power G+3, while every retained block is still constrained.
 
-Sectors are added starting at momentum d + 2G + 1 and increased until the
-nullity reaches zero; the solution is then re-verified on two further
-momenta.  The system is one table that grows with each new sector: a row per
-key (state, output state, hbar power, p0 power), a column per unknown and a
-last column for the classical part, so each row is already an augmented row
-of A x + c = 0.  The keys need only be distinct: the reduced row echelon
-form, and so the solution, does not depend on the order of the rows.  Each
-commutator is applied once, when its state's sector is added.
+Sectors are added from momentum d + 2G + 1 up until the nullity reaches zero
+at mmax_used; the solution is then re-verified on every momentum from 0 to
+mmax_used + 2, the certificate's verified_momenta.  One table grows with
+each new sector: a row per key (state, output state, hbar power, p0 power),
+a column per unknown and a last column for the classical part, so each row
+is an augmented row of A x + c = 0.  The keys need only be distinct: the
+reduced row echelon form, and so the solution, does not depend on the row
+order.  Each commutator is applied once, when its state's sector is added.
 """
 
 from __future__ import annotations

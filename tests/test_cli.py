@@ -1,20 +1,26 @@
 """Command-line interface: outputs, exit codes, cache behavior."""
 
+import contextlib
 import errno
 import hashlib
+import io
 import json
+import re
+import shlex
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qkdv
 from qkdv import DiffMonomial, DiffPoly, Scalar, hierarchy, reconstruction
 from qkdv._version import ENGINE_VERSION
 from qkdv.cache import _checksum, density_path, load_density, store_density
-from qkdv.cli import main
+from qkdv.cli import COMMANDS, _parse_plain, build_parser, main
 from qkdv.diffpoly import dx, to_json_dict, variational_derivative
 from qkdv.hierarchy import clear_memory_memo, wang_hamiltonian
 from qkdv.render import render_poly_text
@@ -69,6 +75,110 @@ def test_hamiltonian_rejects_bad_index(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["hamiltonian", "-d", "-2"])
     assert exc.value.code == 2
+    assert "argument -d: index must be >= -1" in capsys.readouterr().err
+
+
+def test_help_goes_through_argparse(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: qkdv")
+
+
+def argparse_namespace(argv):
+    """vars() of what argparse parses from argv, or None where it exits."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return vars(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def assert_same_as_argparse(argv):
+    """_parse_plain either declines argv or returns argparse's namespace."""
+    plain, expected = _parse_plain(argv), argparse_namespace(argv)
+    if expected is None:  # help or a usage error: argparse printed and exited
+        assert plain is None
+    elif plain is not None:
+        plain = vars(plain)
+        assert plain.pop("func") is expected.pop("func")
+        assert plain == expected
+    return plain
+
+
+FLAGS = sorted(
+    {flag for _, _, options in COMMANDS.values() for flags, _ in options for flag in flags}
+)
+NUMBERS = ["0", "1", "-1", "-2", "-0", "+3", "x", "-", "", "1.5", "-1.5", "-\u00b2", "-\u0663"]
+# Every command, flag and choice, and spellings argparse reads in its own way:
+# "-\u00b2" (superscript two) passes str.isdigit but argparse reads it as a
+# flag, and "-\u0663" (Arabic-Indic three) is a negative number to argparse
+# and to int.
+VOCABULARY = [
+    *COMMANDS, *FLAGS, "--cache-dir", "-h", "--help", "--", "--form", "--d1=3",
+    *NUMBERS, "json", "latex", "text", "quick", "full",
+]
+_token = st.sampled_from(VOCABULARY)
+
+
+def _option(flags, kwargs):
+    """One of a command's options: a flag, then a value unless it takes none."""
+    if "action" in kwargs:
+        return st.sampled_from(flags).map(lambda flag: [flag])
+    values = st.sampled_from(kwargs.get("choices") or ["0", "1", "2", "-1"])
+    return st.tuples(st.sampled_from(flags), values | _token).map(list)
+
+
+@st.composite
+def _command_line(draw, noise):
+    """A command with each of its options given up to twice, the required
+    ones at least once, and up to noise tokens put in anywhere."""
+    command = draw(st.sampled_from(list(COMMANDS)))
+    cache_dirs = draw(st.lists(st.sampled_from(["x", "", "-1", "-h"]), max_size=2))
+    groups = [
+        draw(_option(flags, kwargs))
+        for flags, kwargs in COMMANDS[command][2]
+        for _ in range(draw(st.integers(bool(kwargs.get("required")), 2)))
+    ]
+    argv = [t for d in cache_dirs for t in ("--cache-dir", d)] + [command]
+    argv += [t for group in draw(st.permutations(groups)) for t in group]
+    for token in draw(st.lists(_token, max_size=noise)):
+        argv.insert(draw(st.integers(0, len(argv))), token)
+    return argv
+
+
+@settings(max_examples=500)
+@given(st.lists(_token, max_size=8) | _command_line(0) | _command_line(2))
+def test_plain_parse_agrees_with_argparse_wherever_it_accepts(argv):
+    assert_same_as_argparse(argv)
+
+
+def test_every_benchmark_command_is_parsed_without_argparse(tmp_path):
+    reference = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+    commands = json.loads(reference.read_text())
+    assert commands
+    for command in commands:
+        argv = ["--cache-dir", str(tmp_path), *command.split()]
+        assert assert_same_as_argparse(argv) is not None, command
+
+
+def readme_examples():
+    """(command, expected lines) of each `$ qkdv` example in the README's
+    "Command line" section."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
+    blocks = re.findall(r"^```\n\$ (qkdv .*?)^```$", section, re.M | re.S)
+    return [(b.split("\n")[0], b.split("\n")[1:-1]) for b in blocks]
+
+
+@pytest.mark.parametrize("command, lines", readme_examples())
+def test_readme_example_prints_what_it_shows(capsys, command, lines):
+    code, out, _ = run(capsys, *shlex.split(command)[1:])
+    assert code == 0
+    # "..." stands for any run of lines
+    pattern = "".join("(?:.*\n)*" if x == "..." else re.escape(x) + "\n" for x in lines)
+    assert not lines or re.fullmatch(pattern, out), out
 
 
 def test_s_series(capsys):

@@ -133,11 +133,14 @@ def test_intersect_runs_only_the_intersection_module(tmp_path):
         ("commute", "--d1", "1", "--d2", "2", "--mmax", "3"),
         ("reconstruct", "-d", "1", "-G", "2", "--compare"),
         ("verify-all", "--level", "quick"),
+        ("s-series", "-k", "3"),
     ],
 )
 def test_commands_load_neither_dataclasses_nor_inspect(tmp_path, argv):
-    # dataclasses imports inspect, which imports dis, ast and tokenize
-    assert probe(tmp_path, *argv)[1].isdisjoint({"dataclasses", "inspect"})
+    # dataclasses imports inspect, which imports dis, ast and tokenize; a
+    # documented spelling is parsed without argparse, which imports gettext
+    loaded = probe(tmp_path, *argv)[1]
+    assert loaded.isdisjoint({"dataclasses", "inspect", "argparse", "gettext"})
 
 
 def test_records_hash_and_print_as_before_and_replace_fields():
