@@ -11,6 +11,7 @@ deterministic for a fixed command line.
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 
 
@@ -124,38 +125,40 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_intersect(args) -> int:
     try:
-        sp = intersection.assemble_polynomial(args.d, args.g)
+        n, falling, power = intersection.orbit_tables(args.d, args.g)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    names = sp.variable_names()
+    names = intersection.variable_names(n)
+    den = math.lcm(*(c.denominator for c in power.values()))
+    terms = intersection.orderings(power)
     if args.format == "json":
         payload = {
             "prediction": True,
-            "d": sp.d,
-            "g": sp.g,
-            "n": sp.n,
+            "d": args.d,
+            "g": args.g,
+            "n": n,
             "falling": {
                 "(" + ",".join(str(a) for a in exps) + ")": str(c)
-                for exps, c in sp.falling
+                for exps, c in intersection.orderings(falling)
             },
-            "power": render.render_mpoly_text(sp.power_dict(), names),
+            "power": render.render_mpoly_text(terms, names, den),
         }
         _emit_json(payload)
         return 0
     if args.format == "latex":
-        print(f"% prediction: d={sp.d}, g={sp.g}, n={sp.n}")
+        print(f"% prediction: d={args.d}, g={args.g}, n={n}")
         print(
-            f"P_{{{sp.d},{sp.g}}}({', '.join(names)}) = "
-            f"{render.render_mpoly_latex(sp.power_dict(), names)}"
+            f"P_{{{args.d},{args.g}}}({', '.join(names)}) = "
+            f"{render.render_mpoly_latex(terms, names, den)}"
         )
         return 0
-    print(f"prediction for d={sp.d}, g={sp.g} (n={sp.n} marked points)")
-    print(f"P({', '.join(names)}) = {render.render_mpoly_text(sp.power_dict(), names)}")
-    print("falling-basis coefficients:")
-    for exps, c in sp.falling:
-        label = ",".join(str(a) for a in exps)
-        print(f"  ({label}) -> {c}")
+    print("\n".join([
+        f"prediction for d={args.d}, g={args.g} (n={n} marked points)",
+        f"P({', '.join(names)}) = {render.render_mpoly_text(terms, names, den)}",
+        "falling-basis coefficients:",
+        *(f"  ({','.join(map(str, exps))}) -> {c}" for exps, c in intersection.orderings(falling)),
+    ]))
     return 0
 
 

@@ -83,6 +83,13 @@ class SSeries(namedtuple("SSeries", "kmax coeffs")):
             raise ValueError(f"S_({k}) not computed (kmax={self.kmax})")
         return self.coeffs[k]
 
+    def partial_holds(self, d: int, s: int) -> bool:
+        """d(S_(d+1))/du_s = S_(d-s)/(s+1)! for 0 <= s <= d, and 0 for s > d."""
+        lhs = partial_u(self.coeff(d + 1), s)
+        if s > d:
+            return lhs.is_zero()
+        return lhs == self.coeff(d - s) / math.factorial(s + 1)
+
 
 HamiltonianRecord = namedtuple("HamiltonianRecord", "d density functional")
 
@@ -212,15 +219,8 @@ def check_vder_recursion(d: int) -> bool:
 
 
 def s_partial_check(d: int, s: int) -> bool:
-    """Check the partial-derivative pattern of the unsubstituted series.
-
-    d(S_(d+1))/du_s = S_(d-s)/(s+1)! for 0 <= s <= d, and 0 for s > d.
-    """
+    """Check the partial-derivative pattern of the unsubstituted series,
+    :meth:`SSeries.partial_holds`, on a fresh expansion through z^(d+1)."""
     if d < 0 or s < 0:
         raise ValueError("d and s must be nonnegative")
-    series = s_series(d + 1)
-    lhs = partial_u(series.coeff(d + 1), s)
-    if s > d:
-        return lhs.is_zero()
-    rhs = series.coeff(d - s) / math.factorial(s + 1)
-    return lhs == rhs
+    return s_series(d + 1).partial_holds(d, s)

@@ -4,13 +4,15 @@ Each monomial of the d-th density encodes one coefficient: writing a
 monomial as (-i*hbar)^g * c * prod_j u_j^{a_j} with n = sum a_j factors, the
 number K = c * prod_j a_j! is the coefficient, in the falling-factorial
 basis, of the degree-2g polynomial attached to the (g, n)-stratum family.
-Assembling all jet tuples of a fixed g, each distinct ordering once in
-ascending order, yields that polynomial in n variables.  Converting falling
-factorials to ordinary powers is a per-variable Stirling transform, which
-commutes with permuting the variables: it runs on one sorted jet tuple t per
-orbit, weighted K / stab(t) (stab(t) = prod of t's multiplicities'
-factorials), folds each output key into its sorted orbit and spreads each
-orbit's sum times stab over that orbit's distinct orderings.
+The polynomial in n variables is symmetric: :func:`orbit_tables` keeps one
+entry per orbit, keyed by sorted exponents (falling: K per jet tuple; power:
+the coefficient of each ordering), and :func:`orderings` streams each
+orbit's distinct orderings, all orbits merged in ascending key order.
+Converting falling factorials to ordinary powers is a per-variable Stirling
+transform, which commutes with permuting the variables: it runs on one
+sorted jet tuple t per orbit, weighted K / stab(t) (stab(t) = prod of t's
+multiplicities' factorials), and folds each output key into its sorted
+orbit, whose sum times stab is the power coefficient.
 
 Extraction checks, per monomial, the constraint n = d + 2 - 2g and that c is
 real, so ``diffpoly.unphased`` strips the phase once and tables hold
@@ -23,10 +25,11 @@ Reassembling the density from the table must reproduce it bit-exactly.
 from __future__ import annotations
 
 import math
+from bisect import insort
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product
+from itertools import groupby, product, repeat
 
 from .diffpoly import DiffMonomial, DiffPoly, phased, unphased
 from .hierarchy import wang_hamiltonian
@@ -161,6 +164,10 @@ def _stab(t: tuple[int, ...]) -> int:
     return math.prod([math.factorial(len(list(run))) for _, run in groupby(t)])
 
 
+def variable_names(n: int) -> list[str]:
+    return ["m"] if n == 1 else [f"m{i}" for i in range(1, n + 1)]
+
+
 class StrataPolynomial(namedtuple("StrataPolynomial", "d g n falling power")):
     """The predicted polynomial for one (d, g), in both bases, key-sorted."""
 
@@ -188,21 +195,12 @@ class StrataPolynomial(namedtuple("StrataPolynomial", "d g n falling power")):
         return dict(self.falling) == {(0,) * self.n: 1}
 
     def variable_names(self) -> list[str]:
-        if self.n == 1:
-            return ["m"]
-        return [f"m{i}" for i in range(1, self.n + 1)]
+        return variable_names(self.n)
 
 
-def _canonical_mpoly(p: MPoly) -> tuple[tuple[tuple[int, ...], Fraction], ...]:
-    return tuple(sorted(p.items(), key=lambda kv: kv[0]))
-
-
-def assemble_polynomial(d: int, g: int) -> StrataPolynomial:
-    """Symmetrize the genus-g coefficients of H_d into a polynomial.
-
-    The polynomial has n = d + 2 - 2g variables; g too large for d leaves no
-    stratum family (n < 1) and raises ValueError.
-    """
+def orbit_tables(d: int, g: int) -> tuple[int, MPoly, MPoly]:
+    """n = d + 2 - 2g and the falling and power orbit tables of (d, g), no
+    zero in either; n < 1 leaves no stratum family and raises ValueError."""
     n = d + 2 - 2 * g
     if n < 1:
         raise ValueError(
@@ -211,23 +209,39 @@ def assemble_polynomial(d: int, g: int) -> StrataPolynomial:
         )
     if g < 0:
         raise ValueError("g must be >= 0")
-    reps = extract_coeff_table(d).for_genus(g)
-    # each ordering sorts back to one jets tuple, and no table entry is zero
-    falling = {p: K for jets, K in reps.items() for p in _distinct_permutations(jets)}
+    falling = extract_coeff_table(d).for_genus(g)
     # the transform commutes with permutations: convert the orbit
-    # representatives, fold each output key into its orbit, spread it back
+    # representatives, weighted 1/stab, and fold each output key into its orbit
     orbits = accumulate(
         (tuple(sorted(u)), c)
         for u, c in falling_convert(
-            {jets: K / _stab(jets) for jets, K in reps.items()}, "to_power"
+            {jets: K / _stab(jets) for jets, K in falling.items()}, "to_power"
         ).items()
     )
-    power = {}
-    for t, c in orbits.items():
-        if c:
-            c *= _stab(t)
-            power.update(dict.fromkeys(_distinct_permutations(t), c))
-    return StrataPolynomial(d, g, n, _canonical_mpoly(falling), _canonical_mpoly(power))
+    return n, falling, {t: c * _stab(t) for t, c in orbits.items() if c}
+
+
+def orderings(orbits: MPoly):
+    """(ordering, coefficient) for the n!/stab(t) orderings of each orbit t,
+    in ascending key order, made as they are read: a merge of the orbits'
+    ascending streams on a sorted list of their heads."""
+    # bisect, not heapq.merge: verify-all has bisect loaded already (random
+    # imports it), and loading heapq and its shared library there raised
+    # verify-all's peak RSS by about 0.1 MB
+    streams = [zip(_distinct_permutations(t), repeat(c)) for t, c in orbits.items()]
+    heads = sorted((next(stream), i) for i, stream in enumerate(streams))
+    while heads:
+        term, i = heads.pop(0)
+        yield term
+        term = next(streams[i], None)
+        if term is not None:
+            insort(heads, (term, i))
+
+
+def assemble_polynomial(d: int, g: int) -> StrataPolynomial:
+    """The orderings of both orbit tables of (d, g), materialized."""
+    n, falling, power = orbit_tables(d, g)
+    return StrataPolynomial(d, g, n, tuple(orderings(falling)), tuple(orderings(power)))
 
 
 def _closed_form(n: int, g: int) -> MPoly:

@@ -4,14 +4,14 @@ Densities print with ``u``, ``u1``, ``u2``, ... and ``hbar``, and (-i*hbar)^g
 grouped: each coefficient is a real rational (``diffpoly.unphased``) times
 that unit, which the cache load checks; any other raises ValueError.
 Stratum polynomials print over a common denominator with exponent tuples
-sorted descending, so identical inputs always produce identical bytes.  Each
-kind has one renderer; its ``latex`` flag only changes how factors, products
-and quotients are spelled.
+sorted descending: the renderers take the terms as a stream in ascending key
+order (``intersection.orderings``) with that denominator, render each term
+once and reverse the pieces, so identical inputs always produce identical
+bytes.  Each kind has one renderer; its ``latex`` flag only changes how
+factors, products and quotients are spelled.
 """
 
 from __future__ import annotations
-
-from math import lcm
 
 from .diffpoly import DiffMonomial, DiffPoly, unphased
 from .scalars import Scalar
@@ -91,30 +91,29 @@ def _mpoly_term(exps: tuple[int, ...], mag: int, names: list[str], latex: bool) 
     return body if mag == 1 else f"{mag}{sep}{body}"
 
 
-def _render_mpoly(poly, names: list[str], latex: bool) -> str:
-    """Common-denominator rendering of a ``Fraction``-coefficient polynomial."""
-    items = sorted(poly.items(), key=lambda kv: kv[0], reverse=True)
-    items = [(e, c) for e, c in items if c]
-    if not items:
-        return "0"
-    den = lcm(*(c.denominator for _, c in items))
+def _render_mpoly(terms, names: list[str], den: int, latex: bool) -> str:
+    """Render nonzero (exponents, Fraction) terms, given in ascending key
+    order, over the common denominator den."""
     pieces = []
-    for exps, c in items:
+    for exps, c in terms:
         coeff = c.numerator * (den // c.denominator)
         pieces.append((coeff < 0, _mpoly_term(exps, abs(coeff), names, latex)))
+    if not pieces:
+        return "0"
+    pieces.reverse()
     numerator = _signed_sum(pieces, spaced=False)
     if den == 1:
         return numerator
     if latex:
         return rf"\frac{{{numerator}}}{{{den}}}"
-    if len(items) > 1:
+    if len(pieces) > 1:
         numerator = f"({numerator})"
     return f"{numerator}/{den}"
 
 
-def render_mpoly_text(poly, names: list[str]) -> str:
-    return _render_mpoly(poly, names, latex=False)
+def render_mpoly_text(terms, names: list[str], den: int) -> str:
+    return _render_mpoly(terms, names, den, latex=False)
 
 
-def render_mpoly_latex(poly, names: list[str]) -> str:
-    return _render_mpoly(poly, names, latex=True)
+def render_mpoly_latex(terms, names: list[str], den: int) -> str:
+    return _render_mpoly(terms, names, den, latex=True)

@@ -26,7 +26,7 @@ from .hierarchy import (
     classical_density,
     check_vder_recursion,
     clear_memory_memo,
-    s_partial_check,
+    s_series,
     wang_hamiltonian,
 )
 from .intersection import (
@@ -116,8 +116,9 @@ def _check_recursions(bounds) -> str:
         if not check_vder_recursion(d):
             raise AssertionError(f"variational recursion fails at d={d}")
     for d in range(dmax + 1):
+        series = s_series(d + 1)
         for s in range(d + 2):
-            if not s_partial_check(d, s):
+            if not series.partial_holds(d, s):
                 raise AssertionError(f"series partial fails at d={d}, s={s}")
     return f"variational recursion and series partials hold for d<={dmax}"
 

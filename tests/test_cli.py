@@ -270,6 +270,54 @@ def test_intersect_json_keeps_its_bytes_beyond_the_benchmark(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, g)
 
 
+# sha256 of `intersect` stdout in the other two formats, frozen while every
+# ordering was still collected into dicts and sorted before rendering
+FROZEN_INTERSECT_FORMAT_SHA256 = {
+    (12, 3, "latex"): "f777d3604bc9f98acda93b03d0f135828f61cd642bdd086aa3c4ffb6973ba9f9",
+    (13, 2, "text"): "48e0cb719d12d53fdef7b292298b88bca557a711e66bf5c36ca6e3c0bb0826ce",
+}
+
+
+def test_intersect_latex_and_text_keep_their_bytes(capsys):
+    for (d, g, fmt), digest in FROZEN_INTERSECT_FORMAT_SHA256.items():
+        code, out, _ = run(capsys, "intersect", "-d", str(d), "-g", str(g),
+                           "--format", fmt)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (d, g, fmt)
+
+
+# tracemalloc peak of the benchmark's largest `intersect` job, in bytes, on
+# Python 3.11: 2 050 427 while the CLI built every ordering into dicts and
+# sorted them, 925 843 streaming them from the orbit tables; bound halfway
+INTERSECT_PEAK_BYTES = (2_050_427 + 925_843) // 2
+
+
+def test_intersect_json_peak_memory(tmp_path):
+    """The orderings stream from the orbit tables: `intersect -d 12 -g 3
+    --format json` holds no assembled polynomial, only its output."""
+    probe = (
+        "import os, sys, tracemalloc\n"
+        "import qkdv.cli\n"
+        "from qkdv import hierarchy, intersection, render\n"
+        "hierarchy.wang_hamiltonian(12)\n"
+        # run the lazily loaded modules before measuring
+        "intersection.extract_coeff_table, render.render_poly_text\n"
+        "sys.stdout = open(os.devnull, 'w')\n"
+        "tracemalloc.start()\n"
+        "rc = qkdv.cli.main(['intersect', '-d', '12', '-g', '3', '--format', 'json'])\n"
+        "sys.__stdout__.write(f'{rc} {tracemalloc.get_traced_memory()[1]}')\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": _PACKAGE_ROOT,
+             "PYTHONDONTWRITEBYTECODE": "1", "QKDV_CACHE": str(tmp_path)},
+    )
+    assert child.returncode == 0, child.stderr
+    rc, peak = map(int, child.stdout.split())
+    assert rc == 0
+    assert peak < INTERSECT_PEAK_BYTES, peak
+
+
 # sha256 of `s-series -k 12` stdout per format, frozen while the series was
 # still expanded over Q
 FROZEN_S_SERIES_SHA256 = {

@@ -173,6 +173,26 @@ def test_s_partial_pattern():
     assert partial_u(s.coeff(3), 5).is_zero()
 
 
+def test_recursion_check_expands_each_series_once(monkeypatch):
+    """verify's recursion check tests the series partials for every
+    s <= d + 1 on one expansion of the S-series per d, not one per s."""
+    from qkdv import verify
+
+    for level, dmax in (("quick", 3), ("full", 5)):
+        for d in range(-1, dmax + 1):
+            wang_hamiltonian(d)  # the densities come from the memo
+        calls = []
+
+        def counted(*args):
+            calls.append(args[0])
+            return _exp_series(*args)
+
+        monkeypatch.setattr(hierarchy, "_exp_series", counted)
+        verify._check_recursions(verify._LEVELS[level])
+        monkeypatch.undo()
+        assert sorted(calls) == list(range(1, dmax + 2)), level
+
+
 def test_cache_round_trip(tmp_cache):
     clear_memory_memo()
     rec = wang_hamiltonian(3)

@@ -18,7 +18,7 @@ from qkdv import (
     wang_hamiltonian,
 )
 from qkdv import intersection
-from qkdv.intersection import _closed_form, _distinct_permutations
+from qkdv.intersection import _closed_form, _distinct_permutations, _stab, orbit_tables
 
 
 s = Fraction
@@ -195,6 +195,29 @@ def test_orbit_fold_equals_the_unfolded_transform():
     for d, g in FOLD_CASES:
         sp = assemble_polynomial(d, g)
         assert sp.power_dict() == falling_convert(sp.falling_dict(), "to_power"), (d, g)
+
+
+def test_orderings_ascend_and_spread_each_orbit():
+    """Both bases come out of the merged stream strictly ascending in key,
+    with n!/stab(t) entries per orbit t of their table: the order a sort of
+    the assembled dicts would give."""
+    for d in range(-1, 13):
+        for g in range(0, (d + 1) // 2 + 1):
+            if d + 2 - 2 * g < 1:
+                continue
+            sp = assemble_polynomial(d, g)
+            n, falling, power = orbit_tables(d, g)
+            assert n == sp.n
+            for terms, orbits, as_dict in (
+                (sp.falling, falling, sp.falling_dict()),
+                (sp.power, power, sp.power_dict()),
+            ):
+                keys = [exps for exps, _ in terms]
+                assert all(a < b for a, b in zip(keys, keys[1:])), (d, g)
+                assert len(terms) == sum(
+                    math.factorial(n) // _stab(t) for t in orbits
+                ), (d, g)
+                assert terms == tuple(sorted(as_dict.items())), (d, g)
 
 
 def test_orbit_fold_needs_the_stabilizer_weights(monkeypatch):

@@ -1,5 +1,6 @@
 """Text and LaTeX rendering of densities and stratum polynomials."""
 
+import math
 import re
 from types import SimpleNamespace
 
@@ -22,7 +23,8 @@ def test_mpoly_rejects_non_real_coefficients(render, monkeypatch):
     # where the coefficient table strips (-i)^g, before anything is rendered.
     # The cache rebuilds such an entry on load, so it comes in memory here.
     sp = assemble_polynomial(2, 1)
-    assert render(sp.power_dict(), sp.variable_names()) != "0"
+    den = math.lcm(*(c.denominator for _, c in sp.power))
+    assert render(sp.power, sp.variable_names(), den) != "0"
     true = wang_hamiltonian(2).density
     mono = DiffMonomial(((1, 2),), 1)
     forged = (
@@ -35,7 +37,7 @@ def test_mpoly_rejects_non_real_coefficients(render, monkeypatch):
     )
     with pytest.raises(ValueError, match=r"not real times \(-i\)\^1"):
         sp = assemble_polynomial(2, 1)
-        render(sp.power_dict(), sp.variable_names())
+        render(sp.power, sp.variable_names(), den)
 
 
 def test_density_renderers_refuse_a_coefficient_off_the_phase():
