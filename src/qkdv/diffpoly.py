@@ -253,21 +253,13 @@ def variational_derivative(f: DiffPoly) -> DiffPoly:
 
 def bidegree_of(f: DiffPoly) -> Bidegree | None:
     """Common (grade, weight) of all monomials, or None if mixed or zero."""
-    found: Bidegree | None = None
-    for mono, _ in f.terms():
-        bd = Bidegree(mono.grade(), mono.weight())
-        if found is None:
-            found = bd
-        elif bd != found:
-            return None
-    return found
+    found = {(mono.grade(), mono.weight()) for mono, _ in f.terms()}
+    return Bidegree(*found.pop()) if len(found) == 1 else None
 
 
 def is_homogeneous(f: DiffPoly, grade: int, weight: int) -> bool:
     """True when every monomial has the given bidegree (zero passes)."""
-    return all(
-        m.grade() == grade and m.weight() == weight for m, _ in f.terms()
-    )
+    return f.is_zero() or bidegree_of(f) == (grade, weight)
 
 
 def scale_substitute(f: DiffPoly) -> DiffPoly:

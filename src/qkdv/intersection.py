@@ -6,8 +6,8 @@ number K = c * prod_j a_j! is the coefficient, in the falling-factorial
 basis, of the degree-2g polynomial attached to the (g, n)-stratum family.
 The polynomial in n variables is symmetric: :func:`orbit_tables` keeps one
 entry per orbit, keyed by sorted exponents (falling: K per jet tuple; power:
-the coefficient of each ordering), and :func:`orderings` streams each
-orbit's distinct orderings, all orbits merged in ascending key order.
+the coefficient of each ordering), and :func:`orderings` walks the tuples of
+bounded degree once, yielding each orbit's orderings in ascending key order.
 Converting falling factorials to ordinary powers is a per-variable Stirling
 transform, which commutes with permuting the variables: it runs on one
 sorted jet tuple t per orbit, weighted K / stab(t) (stab(t) = prod of t's
@@ -25,11 +25,11 @@ Reassembling the density from the table must reproduce it bit-exactly.
 from __future__ import annotations
 
 import math
-from bisect import insort
+import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, product, repeat
+from itertools import combinations_with_replacement, groupby, product
 
 from .diffpoly import DiffMonomial, DiffPoly, phased, unphased
 from .hierarchy import wang_hamiltonian
@@ -141,24 +141,6 @@ def reassemble_density(table: FallingCoeffTable) -> DiffPoly:
     return DiffPoly(accumulate(pairs))
 
 
-def _distinct_permutations(items: tuple[int, ...]):
-    """Each distinct ordering of a multiset once, ascending: n!/prod e_j! of them."""
-    a = sorted(items)
-    while True:
-        yield tuple(a)
-        # the rightmost ascent a[i] < a[i+1]; none left means a is descending
-        i = len(a) - 2
-        while i >= 0 and a[i] >= a[i + 1]:
-            i -= 1
-        if i < 0:
-            return
-        j = len(a) - 1
-        while a[j] <= a[i]:
-            j -= 1
-        a[i], a[j] = a[j], a[i]
-        a[i + 1 :] = a[:i:-1]
-
-
 def _stab(t: tuple[int, ...]) -> int:
     """Product of the multiplicities' factorials of a sorted tuple: n!/orbit size."""
     return math.prod([math.factorial(len(list(run))) for _, run in groupby(t)])
@@ -223,19 +205,19 @@ def orbit_tables(d: int, g: int) -> tuple[int, MPoly, MPoly]:
 
 def orderings(orbits: MPoly):
     """(ordering, coefficient) for the n!/stab(t) orderings of each orbit t,
-    in ascending key order, made as they are read: a merge of the orbits'
-    ascending streams on a sorted list of their heads."""
-    # bisect, not heapq.merge: verify-all has bisect loaded already (random
-    # imports it), and loading heapq and its shared library there raised
-    # verify-all's peak RSS by about 0.1 MB
-    streams = [zip(_distinct_permutations(t), repeat(c)) for t, c in orbits.items()]
-    heads = sorted((next(stream), i) for i, stream in enumerate(streams))
-    while heads:
-        term, i = heads.pop(0)
-        yield term
-        term = next(streams[i], None)
-        if term is not None:
-            insort(heads, (term, i))
+    in ascending key order: a walk over the C(top + n, n) n-tuples of degree
+    at most top, the largest key degree, keeping those in some orbit."""
+    if not orbits:
+        return
+    n = len(next(iter(orbits)))
+    top = max(map(sum, orbits))
+    # a non-decreasing c <-> its differences: lex order kept, sum = c[-1]
+    for c in combinations_with_replacement(range(top + 1), n):
+        # a list: tuple(map(...)) resizes tuples, stranding free-list blocks
+        exps = list(map(operator.sub, c, (0,) + c))
+        coeff = orbits.get(tuple(sorted(exps)))
+        if coeff is not None:
+            yield tuple(exps), coeff
 
 
 def assemble_polynomial(d: int, g: int) -> StrataPolynomial:

@@ -5,10 +5,10 @@ grouped: each coefficient is a real rational (``diffpoly.unphased``) times
 that unit, which the cache load checks; any other raises ValueError.
 Stratum polynomials print over a common denominator with exponent tuples
 sorted descending: the renderers take the terms as a stream in ascending key
-order (``intersection.orderings``) with that denominator, render each term
-once and reverse the pieces, so identical inputs always produce identical
-bytes.  Each kind has one renderer; its ``latex`` flag only changes how
-factors, products and quotients are spelled.
+order (``intersection.orderings``) with that denominator, build each signed
+term's text once and reverse the list, so identical inputs always produce
+identical bytes.  Each kind has one renderer; its ``latex`` flag only changes
+how factors, products and quotients are spelled.
 """
 
 from __future__ import annotations
@@ -23,15 +23,12 @@ def _power(base: str, e: int, latex: bool) -> str:
     return f"{base}^{{{e}}}" if latex else f"{base}^{e}"
 
 
-def _signed_sum(pieces, spaced: bool) -> str:
-    """Join (negative, body) pairs as "a - b + c" when spaced, else "a-b+c"."""
-    out: list[str] = []
-    for negative, body in pieces:
-        sign = "-" if negative else ("+" if out else "")
-        if out and spaced:
-            sign = f" {sign} "
-        out.append(sign + body)
-    return "".join(out)
+def _signed_sum(signed: list[str], plus: str) -> str:
+    """Join terms that each carry a sign prefix, plus or its minus twin
+    ("+"/"-" or " + "/" - "), the first one written "a" or "-a"."""
+    first = signed[0]
+    signed[0] = ("" if first.startswith(plus) else "-") + first[len(plus):]
+    return "".join(signed)
 
 
 def _term_pieces(mono: DiffMonomial, c: Scalar, latex: bool):
@@ -58,14 +55,14 @@ def _term_pieces(mono: DiffMonomial, c: Scalar, latex: bool):
 def _render_poly(f: DiffPoly, latex: bool) -> str:
     if f.is_zero():
         return "0"
-    pieces = []
+    signed = []
     for mono, c in f.terms_sorted():
         negative, factors, den = _term_pieces(mono, c, latex)
         body = (r" \, " if latex else "*").join(factors)
         if den != 1:
             body = rf"\frac{{{body}}}{{{den}}}" if latex else f"{body}/{den}"
-        pieces.append((negative, body))
-    return _signed_sum(pieces, spaced=True)
+        signed.append((" - " if negative else " + ") + body)
+    return _signed_sum(signed, " + ")
 
 
 def render_poly_text(f: DiffPoly) -> str:
@@ -94,19 +91,20 @@ def _mpoly_term(exps: tuple[int, ...], mag: int, names: list[str], latex: bool) 
 def _render_mpoly(terms, names: list[str], den: int, latex: bool) -> str:
     """Render nonzero (exponents, Fraction) terms, given in ascending key
     order, over the common denominator den."""
-    pieces = []
+    signed = []
     for exps, c in terms:
         coeff = c.numerator * (den // c.denominator)
-        pieces.append((coeff < 0, _mpoly_term(exps, abs(coeff), names, latex)))
-    if not pieces:
+        sign = "-" if coeff < 0 else "+"
+        signed.append(sign + _mpoly_term(exps, abs(coeff), names, latex))
+    if not signed:
         return "0"
-    pieces.reverse()
-    numerator = _signed_sum(pieces, spaced=False)
+    signed.reverse()
+    numerator = _signed_sum(signed, "+")
     if den == 1:
         return numerator
     if latex:
         return rf"\frac{{{numerator}}}{{{den}}}"
-    if len(pieces) > 1:
+    if len(signed) > 1:
         numerator = f"({numerator})"
     return f"{numerator}/{den}"
 

@@ -291,10 +291,19 @@ def test_intersect_latex_and_text_keep_their_bytes(capsys):
 # sorted them, 925 843 streaming them from the orbit tables; bound halfway
 INTERSECT_PEAK_BYTES = (2_050_427 + 925_843) // 2
 
+# the same peak in the other two formats: 779 775 (latex) and 663 255 (text)
+# while merged per-orbit streams fed a renderer that held each term as a
+# (sign, text) pair next to its signed text; 454 927 and 338 342 from the
+# bounded-degree walk with each signed term built once; bounds halfway
+INTERSECT_FORMAT_PEAK_BYTES = {
+    "latex": (779_775 + 454_927) // 2,
+    "text": (663_255 + 338_342) // 2,
+}
 
-def test_intersect_json_peak_memory(tmp_path):
-    """The orderings stream from the orbit tables: `intersect -d 12 -g 3
-    --format json` holds no assembled polynomial, only its output."""
+
+def _intersect_peak(tmp_path, fmt: str) -> int:
+    """tracemalloc peak of `intersect -d 12 -g 3 --format fmt` in a fresh
+    interpreter, with H_12 cached and the lazily loaded modules run."""
     probe = (
         "import os, sys, tracemalloc\n"
         "import qkdv.cli\n"
@@ -304,7 +313,7 @@ def test_intersect_json_peak_memory(tmp_path):
         "intersection.extract_coeff_table, render.render_poly_text\n"
         "sys.stdout = open(os.devnull, 'w')\n"
         "tracemalloc.start()\n"
-        "rc = qkdv.cli.main(['intersect', '-d', '12', '-g', '3', '--format', 'json'])\n"
+        f"rc = qkdv.cli.main(['intersect', '-d', '12', '-g', '3', '--format', '{fmt}'])\n"
         "sys.__stdout__.write(f'{rc} {tracemalloc.get_traced_memory()[1]}')\n"
     )
     child = subprocess.run(
@@ -315,7 +324,21 @@ def test_intersect_json_peak_memory(tmp_path):
     assert child.returncode == 0, child.stderr
     rc, peak = map(int, child.stdout.split())
     assert rc == 0
+    return peak
+
+
+def test_intersect_json_peak_memory(tmp_path):
+    """The orderings stream from the orbit tables: `intersect -d 12 -g 3
+    --format json` holds no assembled polynomial, only its output."""
+    peak = _intersect_peak(tmp_path, "json")
     assert peak < INTERSECT_PEAK_BYTES, peak
+
+
+@pytest.mark.parametrize("fmt", sorted(INTERSECT_FORMAT_PEAK_BYTES))
+def test_intersect_latex_and_text_peak_memory(tmp_path, fmt):
+    """The LaTeX and text renderers hold each term's text once."""
+    peak = _intersect_peak(tmp_path, fmt)
+    assert peak < INTERSECT_FORMAT_PEAK_BYTES[fmt], peak
 
 
 # sha256 of `s-series -k 12` stdout per format, frozen while the series was

@@ -229,7 +229,7 @@ def wang_literal(d):
     return scale_substitute(acc)
 
 
-def dr_density(d, base=4, unit=MI):
+def scaled_g_density(d, base=4, unit=MI):
     """scale(G_(d+2)), G(z) = exp(sum_k u_(2k) z^(2k+1) / (base^k (2k+1)!)).
 
     The scaling sends u_(2k) to (unit*hbar)^k u_(2k).  Base 4 and unit -i
@@ -303,18 +303,18 @@ def test_expansion_is_integral_until_one_division(monkeypatch):
 
 
 def test_dr_density_differs_by_a_total_derivative():
-    assert dr_density(-1) == wang_hamiltonian(-1).density
-    assert dr_density(0) == wang_hamiltonian(0).density
-    assert dr_density(2) == u(0, 4) / 24 + hterm(MI / 24, {0: 1, 2: 1}, 1)
+    assert scaled_g_density(-1) == wang_hamiltonian(-1).density
+    assert scaled_g_density(0) == wang_hamiltonian(0).density
+    assert scaled_g_density(2) == u(0, 4) / 24 + hterm(MI / 24, {0: 1, 2: 1}, 1)
     for d in range(1, 13):
         density = wang_hamiltonian(d).density
-        assert dr_density(d) != density
-        assert to_functional(dr_density(d)) == to_functional(density), f"d={d}"
+        assert scaled_g_density(d) != density
+        assert to_functional(scaled_g_density(d)) == to_functional(density), f"d={d}"
 
 
 def test_dr_density_has_the_same_fock_operator():
     for d in (4, 6):
-        dr, wang = dr_density(d), wang_hamiltonian(d).density
+        dr, wang = scaled_g_density(d), wang_hamiltonian(d).density
         for m in range(7):
             for lam in partitions_of(m):
                 v = FockVector.basis(lam)
@@ -324,5 +324,5 @@ def test_dr_density_has_the_same_fock_operator():
 def test_dr_negative_controls_differ_in_functional():
     for d in range(2, 13):
         target = wang_hamiltonian(d).functional
-        assert to_functional(dr_density(d, unit=I)) != target, f"eps^2 = +i hbar, d={d}"
-        assert to_functional(dr_density(d, base=2)) != target, f"2^k, d={d}"
+        assert to_functional(scaled_g_density(d, unit=I)) != target, f"eps^2 = +i hbar, d={d}"
+        assert to_functional(scaled_g_density(d, base=2)) != target, f"2^k, d={d}"

@@ -18,7 +18,7 @@ from qkdv import (
     wang_hamiltonian,
 )
 from qkdv import intersection
-from qkdv.intersection import _closed_form, _distinct_permutations, _stab, orbit_tables
+from qkdv.intersection import _closed_form, _stab, orbit_tables, orderings
 
 
 s = Fraction
@@ -167,9 +167,14 @@ def test_admissible_genus_range():
         assemble_polynomial(2, -1)
 
 
+def _single_orbit_orderings(items):
+    """The orderings the walk yields for the one-orbit table of a multiset."""
+    return [p for p, _ in orderings({tuple(sorted(items)): s(1)})]
+
+
 def test_distinct_permutations_match_itertools():
     for items in [(), (0,), (1, 1), (0, 2, 0), (3, 1, 1, 0, 1), (2, 2, 0, 0, 1)]:
-        got = list(_distinct_permutations(items))
+        got = _single_orbit_orderings(items)
         assert len(got) == len(set(got))
         assert set(got) == set(permutations(items))
 
@@ -178,9 +183,54 @@ def test_distinct_permutations_match_itertools():
 @example(())
 @example((2, 0, 1, 0))
 def test_distinct_permutations_ascending(items):
-    """The next-permutation walk lists each distinct ordering once, ascending,
+    """The walk lists each distinct ordering of one orbit once, ascending,
     whatever order the multiset comes in."""
-    assert list(_distinct_permutations(items)) == sorted(set(permutations(items)))
+    assert _single_orbit_orderings(items) == sorted(set(permutations(items)))
+
+
+@st.composite
+def orbit_tables_of_mixed_degree(draw):
+    """Sorted keys of one length n <= 4, entries 0..3, nonzero coefficients."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    key = st.lists(st.integers(min_value=0, max_value=3), min_size=n, max_size=n)
+    coeff = st.integers(min_value=-5, max_value=5).filter(bool).map(s)
+    return draw(st.dictionaries(key.map(sorted).map(tuple), coeff, max_size=8))
+
+
+@given(orbit_tables_of_mixed_degree())
+@example({})
+@example({(0, 0, 3): s(1), (1, 1, 1): s(-2), (0, 1, 1): s(3, 2), (0, 0, 0): s(5)})
+def test_orderings_walk_lists_each_orbit_ascending(table):
+    """The bounded-degree walk yields each distinct ordering of each orbit
+    once, ascending, whatever degrees the orbits have."""
+    assert list(orderings(table)) == sorted(
+        (p, c) for key, c in table.items() for p in set(permutations(key))
+    )
+
+
+def test_intersection_check_assembles_each_stratum_once(monkeypatch):
+    """verify's intersection check tests genus 0 on the g = 0 polynomial its
+    loop builds, not on a second one: one assembly per (d, g) with n >= 1,
+    and one table extraction per d besides those the assemblies make."""
+    from qkdv import verify
+
+    for level, assembled, extracted in (("quick", 9, 14), ("full", 16, 23)):
+        calls = {"assemble": 0, "extract": 0}
+
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        # verify and intersection each look both up in their own module
+        for name, fn in (("assemble", assemble_polynomial),
+                         ("extract", extract_coeff_table)):
+            for module in (verify, intersection):
+                monkeypatch.setattr(module, fn.__name__, counting(name, fn))
+        verify._check_intersection(verify._LEVELS[level])
+        monkeypatch.undo()
+        assert calls == {"assemble": assembled, "extract": extracted}, level
 
 
 # every (d, g) with d <= 12 and 1 <= n <= 8
@@ -198,7 +248,7 @@ def test_orbit_fold_equals_the_unfolded_transform():
 
 
 def test_orderings_ascend_and_spread_each_orbit():
-    """Both bases come out of the merged stream strictly ascending in key,
+    """Both bases come out of the walk strictly ascending in key,
     with n!/stab(t) entries per orbit t of their table: the order a sort of
     the assembled dicts would give."""
     for d in range(-1, 13):
