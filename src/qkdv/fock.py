@@ -35,27 +35,31 @@ that the zero-sum constraint allows, each weighted by the ways to spread
 the mode multiset over the monomial's positions (the plain action and the
 slice with one cross pairing differ only in the ways).  Every i comes from
 the grading, one per unit of the jet weight J and one per annihilation, so
-the enumeration counts in integers and applies the phase i^(J + a) last.
+in tau = i*hbar a monomial c * hbar^h acts as the number c * i^(J - h)
+times tau^(h + a) and integer counts.
 
 Inside the kernel a state is its descending parts tuple and a number an
-int.  Rows are flat, ((parts, hbar, p0), (re, im)); each density carries
-one denominator, the lcm D_f of its coefficients' (``_integral``), and an
-input vector one more, D_v.  ``_apply_to_basis`` (memoized per density and
-state), ``_act`` and ``_cross_once`` are each one loop that adds
-Gaussian-integer products straight into [re, im] sums, so a key is hashed
-once per product.  ``_realize`` divides by the known scale once per
-entry: it is the one way back to Q(i), and with the witnesses the only
-place the kernel builds a Partition, Scalar, SectorScalar or FockVector.
+int.  Rows are flat, ((parts, tau, p0), n); each density carries one
+denominator, the lcm D_f of its coefficients' (``_integral``), and an input
+vector one more, D_v (``_vector_rows``).  Both enter through ``phased`` and
+split into parts q = 0 and 1, int rows times i^q; a Hamiltonian is part 0
+alone.  ``_apply_to_basis`` (memoized per density, part and state),
+``_act`` and ``_cross_once`` are each one loop that adds int products
+straight into sums, so a key is hashed once per product.  ``_realize`` adds
+i^(q + h) * n / scale at hbar^h once per entry: it is the one way back to
+Q(i), and with the witnesses the only place the kernel builds a Partition,
+Scalar, SectorScalar or FockVector.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import defaultdict, namedtuple
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from .diffpoly import DiffPoly
+from .diffpoly import DiffPoly, phased
 from .functionals import bounded_partitions, integrand_normal_form, poisson_density
 from .hierarchy import wang_hamiltonian
 from .scalars import Scalar, SparseMap, accumulate, as_scalar
@@ -284,14 +288,12 @@ def _assignment_count(groups: tuple, values: tuple) -> int:
 
 @lru_cache(maxsize=None)
 def _annihilated(jet_groups: tuple, ann: tuple) -> tuple:
-    """The (created parts, (hbar, p0), (re, im)) rows of the bare monomial
-    prod u_j that annihilates the (part, count) pairs ``ann``, per way to
-    draw them: hbar counts the annihilations, p0 the zero modes, and the
-    phase i^(J + a) signs each nonzero int amplitude or makes it imaginary."""
+    """The (created parts, (tau, p0), n) rows of the bare monomial prod u_j
+    that annihilates the (part, count) pairs ``ann``, per way to draw them:
+    tau counts the annihilations, p0 the zero modes; n is a nonzero int."""
     size_a = sum(a for _, a in ann)
     free = sum(cnt for _, cnt in jet_groups) - size_a
-    phase = (sum(j * cnt for j, cnt in jet_groups) + size_a) % 4
-    n = math.prod(k**a for k, a in ann) * (1 if phase < 2 else -1)
+    n = math.prod(k**a for k, a in ann)
     rows = []
     for creators in bounded_partitions(sum(k * a for k, a in ann), free):
         z = free - len(creators)
@@ -300,20 +302,20 @@ def _annihilated(jet_groups: tuple, ann: tuple) -> tuple:
         values += ((0, z),) + ann[::-1] if z else ann[::-1]
         amp = n * _assignment_count(jet_groups, values)
         if amp:
-            rows.append((creators, (size_a, z), (0, amp) if phase % 2 else (amp, 0)))
+            rows.append((creators, (size_a, z), amp))
     return tuple(rows)
 
 
 def _monomial_terms(jet_groups, pool: tuple, ways=None):
     """Every term of the bare monomial prod u_j acting on the parts in pool,
-    as (untouched parts, created parts, (hbar, p0), (re, im)) rows, no two
-    with one key.  ``ways(ann)`` counts the ways to draw the annihilated
+    as (untouched parts, created parts, (tau, p0), n) rows, no two with one
+    key.  ``ways(ann)`` counts the ways to draw the annihilated
     (part, count) pairs ``ann`` (default: any draw from pool); 0 skips."""
     for ann, left, draws in _submultisets(pool, sum(c for _, c in jet_groups)):
         n = draws if ways is None else ways(ann)
         if n:
-            for created, hp, (re, im) in _annihilated(jet_groups, ann):
-                yield left, created, hp, (n * re, n * im)
+            for created, hp, amp in _annihilated(jet_groups, ann):
+                yield left, created, hp, n * amp
 
 
 def _merged(a: tuple, b: tuple) -> tuple:
@@ -321,39 +323,38 @@ def _merged(a: tuple, b: tuple) -> tuple:
     return tuple(sorted(a + b, reverse=True)) if a and b else a or b
 
 
-_sums = partial(defaultdict, partial(list, (0, 0)))  # keys to [re, im] from [0, 0]
-
-
 def _nonzero(acc: dict) -> dict:
-    """The accumulated [re, im] sums as (re, im) pairs, without the zeros."""
-    return {key: (re, im) for key, (re, im) in acc.items() if re or im}
+    """The accumulated sums without the zeros."""
+    return {key: n for key, n in acc.items() if n}
 
 
-def _scaled(pairs) -> tuple[int, tuple]:
+def _scaled(pairs) -> tuple[int, dict]:
     """The lcm D of the denominators in (key, Scalar) pairs, and the pairs
-    times D as (key, (re, im)) Gaussian integers."""
+    times D as {q: [(key, int)]}, q = 0 real and 1 imaginary, if not empty."""
     pairs = tuple(pairs)
-    D = math.lcm(*(x.denominator for _, c in pairs for x in (c.re, c.im)))
-    return D, tuple(
-        (key, tuple(x.numerator * D // x.denominator for x in (c.re, c.im)))
-        for key, c in pairs
-    )
+    D = math.lcm(*(x.denominator for _, c in pairs for x in c))
+    parts = {q: [(key, int(c[q] * D)) for key, c in pairs if c[q]] for q in (0, 1)}
+    return D, {q: rows for q, rows in parts.items() if rows}
 
 
 @lru_cache(maxsize=None)
-def _integral(f: DiffPoly) -> tuple[int, tuple]:
-    """f's scaled terms as the kernel acts with them: its normal form, since
-    total derivatives act as zero, plus the constants which that drops."""
+def _integral(f: DiffPoly) -> tuple[int, dict]:
+    """f's scaled parts in tau as the kernel acts with them: its normal form,
+    since total derivatives act as zero, plus the constants which that drops."""
     constants = DiffPoly({m: c for m, c in f.terms() if not m.uexp})
-    return _scaled((integrand_normal_form(f) + constants).terms())
+    terms = (integrand_normal_form(f) + constants).terms()
+    return _scaled((m, phased(c, m.hbar - m.jet_weight())) for m, c in terms)
 
 
-def _realize(rows: dict, scale: int) -> FockVector:
-    """Summed ((parts, hbar, p0), (re, im)) rows over their scale, in Q(i)."""
-    by_state = defaultdict(dict)
-    for (state, h, p), (re, im) in rows.items():
-        by_state[state][h, p] = Scalar(Fraction(re, scale), Fraction(im, scale))
-    return FockVector({Partition(s): SectorScalar(a) for s, a in by_state.items()})
+def _realize(parts, scale: int) -> FockVector:
+    """(q, sums) pairs in Q(i): a sum n at (parts, tau^h, p0) adds
+    i^(q + h) * n / scale at hbar^h."""
+    by_state = defaultdict(list)
+    for q, rows in parts:
+        for (state, h, p), n in rows.items():
+            by_state[state].append(((h, p), phased(Scalar(Fraction(n, scale)), -q - h)))
+    amps = {Partition(s): SectorScalar(accumulate(a)) for s, a in by_state.items()}
+    return FockVector(amps)
 
 
 @lru_cache(maxsize=None)
@@ -367,58 +368,54 @@ def _split_apply(jet_groups: tuple, lam: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _apply_to_basis(f: DiffPoly, lam: tuple) -> tuple:
-    """f-hat |lam> as summed ((parts, hbar, p0), (re, im)) rows, scale D_f."""
-    out = _sums()
-    for mono, (a, b) in _integral(f)[1]:
-        for kept, created, (h, p), (c, d) in _split_apply(mono.uexp, lam):
-            acc = out[_merged(kept, created), h + mono.hbar, p]
-            acc[0] += a * c - b * d
-            acc[1] += a * d + b * c
+def _apply_to_basis(f: DiffPoly, q: int, lam: tuple) -> tuple:
+    """Part q of f-hat |lam> as summed ((parts, tau, p0), n) rows, scale D_f."""
+    out = defaultdict(int)
+    for mono, a in _integral(f)[1][q]:
+        for kept, created, (h, p), c in _split_apply(mono.uexp, lam):
+            out[_merged(kept, created), h + mono.hbar, p] += a * c
     return tuple(_nonzero(out).items())
 
 
-def _act(f: DiffPoly, rows) -> dict:
-    """f-hat on ((parts, hbar, p0), (re, im)) rows, as sums that may
+def _act(f: DiffPoly, q: int, rows) -> dict:
+    """Part q of f-hat on ((parts, tau, p0), n) rows, as sums that may
     vanish; their scale is the rows' times D_f.  Each row reads its state's
     memoized column: grouping the rows by state would save lookups, but the
     grouping costs more than they do."""
-    out = _sums()
-    for (lam, h1, p1), (a, b) in rows:
-        for (mu, h2, p2), (c, d) in _apply_to_basis(f, lam):
-            acc = out[mu, h1 + h2, p1 + p2]
-            acc[0] += a * c - b * d
-            acc[1] += a * d + b * c
+    out = defaultdict(int)
+    for (lam, h1, p1), a in rows:
+        for (mu, h2, p2), c in _apply_to_basis(f, q, lam):
+            out[mu, h1 + h2, p1 + p2] += a * c
     return out
 
 
 def _minus(x: dict, y: dict) -> dict:
     """The sums x less the rows y, without zeros; x is used up."""
-    for key, (re, im) in y.items():
-        acc = x[key]
-        acc[0] -= re
-        acc[1] -= im
+    for key, n in y.items():
+        x[key] -= n
     return _nonzero(x)
 
 
-def _vector_rows(v: FockVector) -> tuple[int, tuple]:
-    return _scaled(
-        ((lam.parts, h, p), c) for lam, amp in v.terms() for (h, p), c in amp.terms()
-    )
+def _vector_rows(v: FockVector) -> tuple[int, dict]:
+    terms = ((lam.parts, h, p, c) for lam, a in v.terms() for (h, p), c in a.terms())
+    return _scaled(((lam, h, p), phased(c, h)) for lam, h, p, c in terms)
 
 
 def apply_quantized(f: DiffPoly, v: FockVector) -> FockVector:
     """Act with the quantization of the density f on a Fock vector."""
-    d_v, rows = _vector_rows(v)
-    return _realize(_act(f, rows), _integral(f)[0] * d_v)
+    (d_v, vs), (d_f, fs) = _vector_rows(v), _integral(f)
+    return _realize([(q + r, _act(f, q, vs[r])) for q in fs for r in vs], d_f * d_v)
 
 
 def commutator_apply(f: DiffPoly, g: DiffPoly, v: FockVector) -> FockVector:
     """Apply the commutator of the quantizations of f and g."""
-    d_v, rows = _vector_rows(v)
-    fg = _act(f, _act(g, rows).items())
-    gf = _act(g, _act(f, rows).items())
-    return _realize(_minus(fg, gf), _integral(f)[0] * _integral(g)[0] * d_v)
+    (d_v, vs), (d_f, fs), (d_g, gs) = _vector_rows(v), _integral(f), _integral(g)
+    sums = []
+    for q, r, s in itertools.product(fs, gs, vs):
+        fg = _act(f, q, _act(g, r, vs[s]).items())
+        gf = _act(g, r, _act(f, q, vs[s]).items())
+        sums.append((q + r + s, _minus(fg, gf)))
+    return _realize(sums, d_f * d_g * d_v)
 
 
 @lru_cache(maxsize=None)
@@ -429,7 +426,7 @@ def _tracked_single(jet_groups: tuple, plain: tuple, marked: tuple) -> tuple:
     either; this keeps exactly the terms where a single annihilation lands
     in the marked pool, which is how one isolates the part of an operator
     product with exactly one cross pairing.  Output parts are merged again,
-    so rows are (parts, (hbar, p0), (re, im)) and several may share a key.
+    so rows are (parts, (tau, p0), n) and several may share a key.
     """
     p_counts, m_counts = plain.count, marked.count
 
@@ -446,22 +443,18 @@ def _tracked_single(jet_groups: tuple, plain: tuple, marked: tuple) -> tuple:
     return tuple((_merged(kept, created), hp, amp) for kept, created, hp, amp in rows)
 
 
-def _cross_once(f: DiffPoly, g: DiffPoly, lam: tuple) -> dict:
-    """Terms of f-hat (g-hat |lam>) where f pairs with g's output exactly
-    once, as sums of scale D_f * D_g that may vanish."""
-    out = _sums()
-    for mono_g, (a, b) in _integral(g)[1]:
-        for kept, created, (hg, pg), (c, d) in _split_apply(mono_g.uexp, lam):
+def _cross_once(f: DiffPoly, q: int, g: DiffPoly, r: int, lam: tuple) -> dict:
+    """Terms of part q of f-hat (part r of g-hat |lam>) where f pairs with
+    g's output exactly once, as sums of scale D_f * D_g that may vanish."""
+    out = defaultdict(int)
+    for mono_g, a in _integral(g)[1][r]:
+        for kept, created, (hg, pg), c in _split_apply(mono_g.uexp, lam):
             if not created:
                 continue
-            sa, sb = a * c - b * d, a * d + b * c
-            for mono_f, (e, k) in _integral(f)[1]:
-                fa, fb = sa * e - sb * k, sa * k + sb * e
+            for mono_f, e in _integral(f)[1][q]:
                 h0 = hg + mono_g.hbar + mono_f.hbar
-                for mu, (h, p), (x, y) in _tracked_single(mono_f.uexp, kept, created):
-                    acc = out[mu, h0 + h, pg + p]
-                    acc[0] += x * fa - y * fb
-                    acc[1] += x * fb + y * fa
+                for mu, (h, p), x in _tracked_single(mono_f.uexp, kept, created):
+                    out[mu, h0 + h, pg + p] += a * c * e * x
     return out
 
 
@@ -475,8 +468,12 @@ def single_contraction_apply(
     no pairing cancel between the two orders.  This isolates the terms with
     exactly one, which carry the entire first-order content of the bracket.
     """
-    cross = _minus(_cross_once(f, g, lam.parts), _cross_once(g, f, lam.parts))
-    return _realize(cross, _integral(f)[0] * _integral(g)[0])
+    (d_f, fs), (d_g, gs), nu = _integral(f), _integral(g), lam.parts
+    cross = [
+        (q + r, _minus(_cross_once(f, q, g, r, nu), _cross_once(g, r, f, q, nu)))
+        for q, r in itertools.product(fs, gs)
+    ]
+    return _realize(cross, d_f * d_g)
 
 
 PairStatus = namedtuple("PairStatus", "d1 d2 mmax status")
@@ -503,16 +500,23 @@ def check_commute(d1: int, d2: int, mmax: int) -> CommuteReport:
         raise ValueError("mmax must be >= 0")
     f = wang_hamiltonian(d1).density
     g = wang_hamiltonian(d2).density
+    (d_f, fs), (d_g, gs) = _integral(f), _integral(g)
     max_dim = 0
     for m in range(mmax + 1):
         for lam in partitions_of(m):
-            fv, gv = _apply_to_basis(f, lam.parts), _apply_to_basis(g, lam.parts)
-            # states, not (state, hbar, p0) keys
-            max_dim = max(max_dim, *(len({k[0] for k, _ in v}) for v in (fv, gv)))
-            # both orders carry the scale D_f * D_g, so their rows compare as ints
-            diff = _minus(_act(f, gv), _act(g, fv))
-            if diff:
-                w = _realize(diff, _integral(f)[0] * _integral(g)[0])
+            fv = {q: _apply_to_basis(f, q, lam.parts) for q in fs}
+            gv = {r: _apply_to_basis(g, r, lam.parts) for r in gs}
+            # states, not (state, tau, p0) keys, over every part
+            states = ({k[0] for rows in v.values() for k, _ in rows} for v in (fv, gv))
+            max_dim = max(max_dim, *map(len, states))
+            # both orders carry the scale D_f * D_g, so their rows compare as
+            # ints; parts q + r and q + r + 2 may cancel, so their sum decides
+            diff = [
+                (q + r, _minus(_act(f, q, gv[r]), _act(g, r, fv[q])))
+                for q, r in itertools.product(fs, gs)
+            ]
+            w = _realize(diff, d_f * d_g)
+            if w:
                 mu, amp = w.terms_sorted()[0]
                 raise CommutatorNonzero(d1, d2, lam, mu, amp)
     return CommuteReport(

@@ -1,11 +1,11 @@
-"""Small exact linear algebra over Q and the Gaussian rationals.
+"""Small exact linear algebra over Q.
 
 The systems that arise here (image-of-dx components, reconstruction
-constraints) have at most a few hundred rows and mostly zero entries, so
+constraints) have at most a few thousand rows and mostly zero entries, so
 Gauss-Jordan elimination that touches only the nonzero entries of each pivot
-row is both exact and fast.  Rows are lists of :class:`~qkdv.scalars.Scalar`
-or of :class:`~fractions.Fraction`; a pivot is inverted as ``Fraction(1) / x``,
-so no float can appear.  All functions leave their inputs untouched.
+row is both exact and fast.  Rows are lists of :class:`~fractions.Fraction`;
+a pivot is inverted as ``Fraction(1) / x``, so no float can appear.  All
+functions leave their inputs untouched.
 
 An affine system A x + c = 0 is passed as its augmented rows [A | c], and one
 elimination gives what its callers read: one solution and the nullity of A,
@@ -16,9 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .scalars import ZERO, Scalar
-
-Row = list[Scalar]
+Row = list[Fraction]
 
 
 def rref(rows: list[Row]) -> tuple[list[Row], list[int]]:
@@ -53,7 +51,7 @@ def _eliminate(r: Row, col: int, support) -> None:
             r[j] = r[j] - factor * b
 
 
-def solve_affine(rows: list[Row], ncols: int) -> tuple[list[Scalar] | None, int]:
+def solve_affine(rows: list[Row], ncols: int) -> tuple[Row | None, int]:
     """Solve A x + c = 0 exactly, given its augmented rows [A | c].
 
     Returns ``(particular, nullity)``.  particular is None when the system is
@@ -67,7 +65,7 @@ def solve_affine(rows: list[Row], ncols: int) -> tuple[list[Scalar] | None, int]
     rank = sum(1 for piv in pivots if piv < ncols)
     if rank < len(pivots):
         return None, ncols - rank
-    x = [ZERO] * ncols
+    x = [Fraction(0)] * ncols
     for row, piv in zip(reduced, pivots):
         x[piv] = -row[ncols]
     return x, ncols - rank

@@ -7,7 +7,7 @@ The ansatz for index d through order G is
 
 and the defining constraint is that Q commute with the first nontrivial
 Hamiltonian in the Fock realization.  Each Fock sector contributes exact
-linear equations on the unknowns; the system is solved exactly, and
+linear equations on the unknowns; the system is solved exactly over Q, and
 uniqueness is certified by nullity zero: a zero-dimensional kernel.
 
 When the weight grading rules out any block beyond hbar^G (the basis in
@@ -25,25 +25,29 @@ show up at power G+3, while every retained block is still constrained.
 Sectors are added from momentum d + 2G + 1 up until the nullity reaches zero
 at mmax_used; the solution is then re-verified on every momentum from 0 to
 mmax_used + 2, the certificate's verified_momenta.  One table grows with
-each new sector: a row per key (state, output state, hbar power, p0 power),
-a column per unknown and a last column for the classical part, so each row
-is an augmented row of A x + c = 0.  The keys need only be distinct: the
-reduced row echelon form, and so the solution, does not depend on the row
-order.  Each commutator is applied once, when its state's sector is added.
+each new sector: a row per key (state, output state, hbar power, p0 power,
+part), a column per unknown and a last column for the classical part, so
+each row is an augmented row of A x + c = 0.  All is real in tau = i*hbar:
+unknown j is (-i*hbar)^g times its representative, and a coefficient c at
+hbar^h is c * (-i)^h, whose real and imaginary parts are parts 0 and 1.
+The keys need only be distinct: the reduced row echelon form, and so the
+solution, does not depend on the row order.  Each commutator is applied
+once, when its state's sector is added.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, namedtuple
+from fractions import Fraction
 from functools import lru_cache
 from types import MappingProxyType
 
-from .diffpoly import DiffPoly, to_json_dict
+from .diffpoly import DiffPoly, phased, to_json_dict
 from .fock import FockVector, commutator_apply, partitions_of
 from .functionals import LocalFunctional, functional_basis, to_functional
 from .hierarchy import classical_density, wang_hamiltonian
 from .linalg import solve_affine
-from .scalars import ZERO
+from .scalars import ONE
 
 _SCHEDULE_SPAN = 8
 
@@ -132,14 +136,16 @@ def _ansatz_complete(d: int, G: int) -> bool:
 
 
 def _window_terms(h1: DiffPoly, density: DiffPoly, lam, hmax: int | None):
-    """The (key, coefficient) pairs of [density, H_1] applied to |lam>, within
-    the hbar window; a key (state, output, hbar, p0), the states as their
+    """The (key, rational) pairs of [density, H_1] |lam> in tau, within the
+    hbar window; a key (state, output, hbar, p0, part), the states as their
     parts, names one row of the linear system and need only be distinct."""
     out = commutator_apply(density, h1, FockVector.basis(lam))
     for mu, amp in out.terms():
         for (h, p), c in amp.terms():
             if hmax is None or h <= hmax:
-                yield (lam.parts, mu.parts, h, p), c
+                for part, x in enumerate(phased(c, h)):
+                    if x:
+                        yield (lam.parts, mu.parts, h, p, part), x
 
 
 def reconstruct_with_certificate(
@@ -168,8 +174,8 @@ def _solve(d: int, G: int, mmax: int | None):
         trace = [(schedule[0], 0)]
     else:
         n = len(unknowns)
-        columns = (*unknowns, ansatz.classical)
-        table = defaultdict(lambda: [ZERO] * (n + 1))
+        columns = (*(b * phased(ONE, b.max_hbar()) for b in unknowns), ansatz.classical)
+        table = defaultdict(lambda: [Fraction(0)] * (n + 1))
         trace = []
         done = 0
         for target in schedule:
@@ -189,7 +195,7 @@ def _solve(d: int, G: int, mmax: int | None):
                 break
         else:
             raise UnderdeterminedError(d, G, target, nullity)
-        for x, b in zip(particular, unknowns):
+        for x, b in zip(particular, columns):
             density = density + b * x
 
     used = trace[-1][0]

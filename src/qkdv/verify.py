@@ -36,7 +36,7 @@ from .intersection import (
     falling_convert,
     reassemble_density,
 )
-from .reconstruction import compare_with_wang
+from .reconstruction import compare_with_wang, reconstruct_with_certificate
 from .scalars import Scalar
 
 _LEVELS = {
@@ -54,7 +54,7 @@ _LEVELS = {
         "commute_mmax": 6,
         "calibration_pairs": 10,
         "calibration_mmax": 4,
-        "reconstruction": ((1, 2), (2, 1), (3, 1), (3, 2), (4, 1)),
+        "reconstruction": ((1, 2), (2, 1), (3, 1), (3, 2), (4, 1), (4, 2), (5, 2)),
     },
 }
 
@@ -170,7 +170,14 @@ def _check_reconstruction(bounds) -> str:
         if not compare_with_wang(d, G):
             raise AssertionError(f"reconstruction (d={d}, G={G}) disagrees")
     pretty = ", ".join(f"({d},{G})" for d, G in cases)
-    return f"reconstructed {pretty} with zero-dimensional kernels"
+    detail = f"reconstructed {pretty} with zero-dimensional kernels"
+    # a complete ansatz (no block beyond hbar^G) certifies the whole density;
+    # name those cases when some others are truncations
+    certified = (reconstruct_with_certificate(d, G)[1] for d, G in cases)
+    whole = [f"({c.d},{c.G})" for c in certified if c.hbar_window is None]
+    if len(whole) < len(cases):
+        detail += "; whole densities for " + ", ".join(whole)
+    return detail
 
 
 def _check_intersection(bounds) -> str:

@@ -108,16 +108,20 @@ def _sector_vector(terms) -> FockVector:
 
 
 def scalar_basis(f: DiffPoly, lam: Partition) -> FockVector:
-    """f-hat |lam> in Q(i): one Scalar product per enumeration row."""
+    """f-hat |lam> in Q(i): one Scalar product per enumeration row, with the
+    phase i^(J + a) of its jet weight J and its a annihilations."""
     return _sector_vector(
-        ((Partition.make(kept + created), h + mono.hbar, p), Scalar.of(*amp) * c)
+        (
+            (Partition.make(kept + created), h + mono.hbar, p),
+            I ** (mono.jet_weight() + h) * amp * c,
+        )
         for mono, c in f.terms()
         for kept, created, (h, p), amp in _split_apply(mono.uexp, lam.parts)
     )
 
 
 def scalar_apply(f: DiffPoly, v: FockVector) -> FockVector:
-    """The per-state Q(i) path the Gaussian-integer kernel replaced.
+    """The per-state Q(i) path that the integer kernel over tau replaced.
 
     Each state's column is multiplied by its SectorScalar amplitude, so every
     amplitude product is a Gaussian-rational product and no common
@@ -139,7 +143,8 @@ def scalar_single_contraction(
     def cross_once(f, g):
         return _sector_vector(
             ((Partition(mu), hg + mono_g.hbar + mono_f.hbar + h, pg + p),
-             Scalar.of(*amp_f) * Scalar.of(*amp_g) * cg * cf)
+             I ** (mono_f.jet_weight() + h) * I ** (mono_g.jet_weight() + hg)
+             * amp_f * amp_g * cg * cf)
             for mono_g, cg in g.terms()
             for kept, created, (hg, pg), amp_g in _split_apply(mono_g.uexp, lam.parts)
             if created
@@ -163,6 +168,8 @@ ORACLE_POLYS = [
     DiffPoly.term(3, ((0, 2),), hbar=2),
     wang_hamiltonian(1).density,
     wang_hamiltonian(2).density,
+    # (1 + 2i) * i^3 = 2 - i: real and imaginary in tau, so both parts act
+    DiffPoly.term(Scalar.of(1, 2), ((0, 1), (1, 1), (2, 1))),
 ]
 
 
@@ -544,6 +551,27 @@ def test_commutator_witness_with_mixed_denominators(monkeypatch):
     }
 
 
+def test_commutator_witness_of_a_density_imaginary_in_tau(monkeypatch):
+    """A forged H_2 + u0*u1*u2, whose added term is i^3 = -i times a real
+    in tau = i*hbar: the commutator has parts with i-powers 1 and 3, and
+    the witness needs them summed, not part 0 read alone."""
+    true = wang_hamiltonian
+
+    def forged(d):
+        record = true(d)
+        if d != 2:
+            return record
+        return record._replace(density=record.density + u(0) * u(1) * u(2))
+
+    monkeypatch.setattr("qkdv.fock.wang_hamiltonian", forged)
+    with pytest.raises(CommutatorNonzero) as info:
+        check_commute(1, 2, 4)
+    assert info.value.witness_dict() == {
+        "d1": 1, "d2": 2, "partition": [2], "entry": [2],
+        "coefficient": "12*hbar^3",
+    }
+
+
 def test_split_apply_has_one_row_per_key():
     """The untouched and created parts fix the annihilated multiset (hbar
     power) and the zero-mode count (p0 power), so the rows of one
@@ -561,8 +589,8 @@ def test_split_apply_has_one_row_per_key():
                         for parts in (kept, created):
                             assert type(parts) is tuple
                             assert list(parts) == sorted(parts, reverse=True)
-                        # a nonzero Gaussian integer, real or imaginary
-                        assert [type(x) for x in amp] == [int, int]
-                        assert amp != (0, 0) and 0 in amp
+                        # a nonzero int: the phase is applied where rows
+                        # leave the kernel
+                        assert type(amp) is int and amp
                         assert h == len(lam.parts) - len(kept)
                         assert p == r - h - len(created)

@@ -1,16 +1,17 @@
-"""Exact affine solves: a particular solution and the nullity from one elimination
-of the augmented rows [A | c] of A x + c = 0."""
+"""Exact affine solves over Q: a particular solution and the nullity from one
+elimination of the augmented rows [A | c] of A x + c = 0."""
+
+from fractions import Fraction
 
 import sympy
 from hypothesis import given
 from hypothesis import strategies as st
 
 from qkdv.linalg import solve_affine
-from qkdv.scalars import ZERO, Scalar
 
 
 def row(*xs):
-    return [Scalar.of(x) for x in xs]
+    return [Fraction(x) for x in xs]
 
 
 def test_unique_solution():
@@ -33,7 +34,7 @@ def test_inconsistent_returns_none_and_kernel():
 
 
 def test_no_rows_gives_the_full_kernel():
-    assert solve_affine([], 3) == ([ZERO] * 3, 3)
+    assert solve_affine([], 3) == ([Fraction(0)] * 3, 3)
 
 
 @st.composite
@@ -56,7 +57,7 @@ def test_solve_agrees_with_sympy(system):
     assert nullity == ncols - a.rank()
     assert (particular is None) == (ac.rank() > a.rank())
     if particular is not None:
+        assert all(type(x) is Fraction for x in particular)
         for r in rows:
-            total = sum((Scalar.of(b) * x for b, x in zip(r, particular)), ZERO)
-            assert total + Scalar.of(r[ncols]) == ZERO
+            assert sum(b * x for b, x in zip(r, particular)) + r[ncols] == 0
     assert solve_affine([row(*r) for r in shuffled], ncols) == (particular, nullity)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -195,15 +196,35 @@ def test_functional_rep_is_read_only():
     assert wang_hamiltonian(2).functional.rep == wang_hamiltonian(2).density
 
 
-@pytest.fixture
-def wrong_first_hamiltonian(monkeypatch):
-    """The solver sees H_1 + u1^2 as the first Hamiltonian, with no solve memo."""
+def test_the_solve_is_over_the_rationals(monkeypatch):
+    # every column and every entry is real in tau = i*hbar, so solve_affine
+    # sees Fractions only, and the density it returns is still Wang's
+    true = qkdv.reconstruction.solve_affine
+    seen = []
+
+    def rational_only(rows, ncols):
+        seen.extend(type(x) for row in rows for x in row)
+        return true(rows, ncols)
+
+    qkdv.reconstruction._solve.cache_clear()
+    monkeypatch.setattr(qkdv.reconstruction, "solve_affine", rational_only)
+    try:
+        assert compare_with_wang(4, 2)
+    finally:
+        qkdv.reconstruction._solve.cache_clear()
+    assert seen and set(seen) == {Fraction}
+
+
+@pytest.fixture(params=[u(1, 2), u(0) * u(1) * u(2)], ids=["u1^2", "u0*u1*u2"])
+def wrong_first_hamiltonian(monkeypatch, request):
+    """The solver sees H_1 plus a wrong term as the first Hamiltonian, with no
+    solve memo: u1^2 is real in tau = i*hbar, u0*u1*u2 imaginary."""
     true = qkdv.reconstruction.wang_hamiltonian
 
     def substituted(d):
         record = true(d)
         if d == 1:
-            record = record._replace(density=record.density + u(1, 2))
+            record = record._replace(density=record.density + request.param)
         return record
 
     qkdv.reconstruction._solve.cache_clear()

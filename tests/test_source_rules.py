@@ -32,10 +32,19 @@ def test_stdlib_only_and_no_floats():
             ), f"float() call at {where}"
 
 
+def reduces_mod_four(node) -> bool:
+    return (
+        isinstance(node, ast.BinOp)
+        and isinstance(node.op, ast.Mod)
+        and isinstance(node.right, ast.Constant)
+        and node.right.value == 4
+    )
+
+
 def test_only_diffpoly_spells_the_phase():
     # diffpoly.phased and diffpoly.unphased are the one place (-i)^h is
-    # applied or stripped; scalars defines the constants, and no module keeps
-    # a table of the phase's powers
+    # applied or stripped; scalars defines the constants, no module keeps
+    # a table of the phase's powers, and none reduces an exponent of i mod 4
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
             names = {getattr(node, field, None) for field in ("id", "attr", "name")}
@@ -43,6 +52,8 @@ def test_only_diffpoly_spells_the_phase():
             assert "PHASE" not in names, where
             if path.name not in ("scalars.py", "diffpoly.py"):
                 assert "MINUS_I" not in names, where
+            if path.name != "diffpoly.py":
+                assert not reduces_mod_four(node), f"% 4 at {where}"
 
 
 def imports_cache(node) -> bool:
