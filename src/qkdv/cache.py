@@ -8,12 +8,13 @@ choice is read on every memo miss, so API callers pick the directory with
 
 Everything stored here is derived data: deleting the cache directory changes
 nothing but runtime.  Entries are keyed by the index d and the engine
-version; a version bump invalidates them.  Each entry carries the CRC-32 of
-its compact terms JSON, so an entry edited after it was written, or written
-without it, is rebuilt (hashlib's sha256 would load OpenSSL: 3.7 MB more
-peak memory per process).  Writes go through a temp file and an atomic
-rename so a partially written entry is never observed, and a failed write
-removes its temp file.
+version; a version bump invalidates them.  An entry is the JSON document of
+H_d (:func:`density_document`, also printed by ``hamiltonian --format json``)
+plus the CRC-32 of its compact terms JSON, so an entry edited after it was
+written, or written without it, is rebuilt (hashlib's sha256 would load
+OpenSSL: 3.7 MB more peak memory per process).  Writes go through a temp
+file and an atomic rename so a partially written entry is never observed,
+and a failed write removes its temp file.
 """
 
 from __future__ import annotations
@@ -64,9 +65,13 @@ def load_density(path: Path, d: int) -> DiffPoly | None:
         return None
 
 
+def density_document(d: int, density: DiffPoly) -> dict:
+    """The JSON document of H_d: its index, the engine version and its terms."""
+    return {"d": d, "engine": ENGINE_VERSION, **to_json_dict(density)}
+
+
 def store_density(path: Path, d: int, density: DiffPoly) -> None:
-    payload = {"d": d, "engine": ENGINE_VERSION}
-    payload.update(to_json_dict(density))
+    payload = density_document(d, density)
     payload["crc32"] = _checksum(payload["terms"])
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + f".tmp{os.getpid()}.{threading.get_ident()}")

@@ -35,7 +35,6 @@ for _name in ("fock", "intersection", "linalg", "reconstruction", "render", "ver
 from . import (
     cache, diffpoly, fock, hierarchy, intersection, reconstruction, render, verify,
 )
-from ._version import ENGINE_VERSION
 import json
 from types import SimpleNamespace
 
@@ -63,9 +62,7 @@ def _emit_json(payload: dict) -> None:
 def cmd_hamiltonian(args) -> int:
     record = hierarchy.wang_hamiltonian(args.d)
     if args.format == "json":
-        payload = {"d": args.d, "engine": ENGINE_VERSION}
-        payload.update(diffpoly.to_json_dict(record.density))
-        _emit_json(payload)
+        _emit_json(cache.density_document(args.d, record.density))
     elif args.format == "latex":
         print(f"H_{{{args.d}}} = {render.render_poly_latex(record.density)}")
     else:
@@ -149,7 +146,7 @@ def cmd_intersect(args) -> int:
     if args.format == "latex":
         print(f"% prediction: d={args.d}, g={args.g}, n={n}")
         print(
-            f"P_{{{args.d},{args.g}}}({', '.join(names)}) = "
+            f"P_{{{args.d},{args.g}}}({', '.join(render.latex_names(names))}) = "
             f"{render.render_mpoly_latex(terms, names, den)}"
         )
         return 0

@@ -141,6 +141,14 @@ def partitions_of(m: int) -> tuple[Partition, ...]:
     return tuple(Partition(p) for p in bounded_partitions(m, m))
 
 
+def _partitions_upto(mmax: int):
+    """Every partition of momentum <= mmax, by momentum; ValueError at once
+    for a negative mmax, which would check nothing."""
+    if mmax < 0:
+        raise ValueError("mmax must be >= 0")
+    return itertools.chain.from_iterable(map(partitions_of, range(mmax + 1)))
+
+
 class SectorScalar(SparseMap):
     """An exact polynomial in hbar and the central mode p0."""
 
@@ -494,31 +502,29 @@ def check_commute(d1: int, d2: int, mmax: int) -> CommuteReport:
     """Verify [H_d1, H_d2] = 0 on every partition of momentum <= mmax.
 
     Raises :class:`CommutatorNonzero` with a witness on the first failure,
-    and ValueError for a negative mmax, which would check nothing.
+    and ValueError for a negative mmax before any density is loaded.
     """
-    if mmax < 0:
-        raise ValueError("mmax must be >= 0")
+    basis = _partitions_upto(mmax)
     f = wang_hamiltonian(d1).density
     g = wang_hamiltonian(d2).density
     (d_f, fs), (d_g, gs) = _integral(f), _integral(g)
     max_dim = 0
-    for m in range(mmax + 1):
-        for lam in partitions_of(m):
-            fv = {q: _apply_to_basis(f, q, lam.parts) for q in fs}
-            gv = {r: _apply_to_basis(g, r, lam.parts) for r in gs}
-            # states, not (state, tau, p0) keys, over every part
-            states = ({k[0] for rows in v.values() for k, _ in rows} for v in (fv, gv))
-            max_dim = max(max_dim, *map(len, states))
-            # both orders carry the scale D_f * D_g, so their rows compare as
-            # ints; parts q + r and q + r + 2 may cancel, so their sum decides
-            diff = [
-                (q + r, _minus(_act(f, q, gv[r]), _act(g, r, fv[q])))
-                for q, r in itertools.product(fs, gs)
-            ]
-            w = _realize(diff, d_f * d_g)
-            if w:
-                mu, amp = w.terms_sorted()[0]
-                raise CommutatorNonzero(d1, d2, lam, mu, amp)
+    for lam in basis:
+        fv = {q: _apply_to_basis(f, q, lam.parts) for q in fs}
+        gv = {r: _apply_to_basis(g, r, lam.parts) for r in gs}
+        # states, not (state, tau, p0) keys, over every part
+        states = ({k[0] for rows in v.values() for k, _ in rows} for v in (fv, gv))
+        max_dim = max(max_dim, *map(len, states))
+        # both orders carry the scale D_f * D_g, so their rows compare as
+        # ints; parts q + r and q + r + 2 may cancel, so their sum decides
+        diff = [
+            (q + r, _minus(_act(f, q, gv[r]), _act(g, r, fv[q])))
+            for q, r in itertools.product(fs, gs)
+        ]
+        w = _realize(diff, d_f * d_g)
+        if w:
+            mu, amp = w.terms_sorted()[0]
+            raise CommutatorNonzero(d1, d2, lam, mu, amp)
     return CommuteReport(
         pairs=[PairStatus(d1, d2, mmax, "pass")],
         witness=None,
@@ -542,18 +548,16 @@ def classical_consistency(
     the operator product resolves one pairing at a time.  A wrong sign or
     scale anywhere in the mode conventions makes this fail loudly.
     """
-    if mmax < 0:
-        raise ValueError("mmax must be >= 0")
+    basis = _partitions_upto(mmax)
     if f.max_hbar() or g.max_hbar():
         raise ValueError("classical consistency needs hbar-free densities")
     # hbar is central, so hbar times the bracket's operator is that of hbar * p
     p = poisson_density(f, g) * DiffPoly.hbar()
-    for m in range(mmax + 1):
-        for lam in partitions_of(m):
-            lhs = single_contraction_apply(f, g, lam)
-            rhs = apply_quantized(p, FockVector.basis(lam))
-            if lhs != rhs:
-                raise MismatchError(f, g, lam, lhs, rhs)
+    for lam in basis:
+        lhs = single_contraction_apply(f, g, lam)
+        rhs = apply_quantized(p, FockVector.basis(lam))
+        if lhs != rhs:
+            raise MismatchError(f, g, lam, lhs, rhs)
     return ConsistencyReport(
         pairs=[{"f": str(f), "g": str(g), "mmax": mmax, "status": "pass"}],
         witness=None,

@@ -43,7 +43,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .diffpoly import DiffPoly, phased, to_json_dict
-from .fock import FockVector, commutator_apply, partitions_of
+from .fock import FockVector, _partitions_upto, commutator_apply, partitions_of
 from .functionals import LocalFunctional, functional_basis, to_functional
 from .hierarchy import classical_density, wang_hamiltonian
 from .linalg import solve_affine
@@ -88,15 +88,14 @@ class Ansatz(namedtuple("Ansatz", "d G classical blocks")):
 
 
 def build_ansatz(d: int, G: int) -> Ansatz:
-    if d < -1:
-        raise ValueError("d must be >= -1")
+    classical = classical_density(d)
     if G < 0:
         raise ValueError("G must be >= 0")
     blocks = tuple(
         tuple(rep.rep for rep in functional_basis(2 * g, d + 2))
         for g in range(1, G + 1)
     )
-    return Ansatz(d, G, classical_density(d), blocks)
+    return Ansatz(d, G, classical, blocks)
 
 
 class ReconstructionCertificate(namedtuple(
@@ -126,13 +125,9 @@ class ReconstructionCertificate(namedtuple(
 
 
 def _ansatz_complete(d: int, G: int) -> bool:
-    """True when no functional block beyond hbar^G can exist at this weight."""
-    g = G + 1
-    while d + 2 - 2 * g >= 1:
-        if functional_basis(2 * g, d + 2):
-            return False
-        g += 1
-    return True
+    """True when no functional block beyond hbar^G exists at this weight; a
+    block needs d + 2 - 2g >= 1 factors, so none lies past g = d + 1."""
+    return not any(functional_basis(2 * g, d + 2) for g in range(G + 1, d + 2))
 
 
 def _window_terms(h1: DiffPoly, density: DiffPoly, lam, hmax: int | None):
@@ -199,20 +194,18 @@ def _solve(d: int, G: int, mmax: int | None):
             density = density + b * x
 
     used = trace[-1][0]
-    verified = tuple(range(used + 3))
-    for m in verified:
-        for lam in partitions_of(m):
-            if any(c for _, c in _window_terms(h1, density, lam, hmax)):
-                raise InconsistentError(
-                    f"re-verification failed for d={d}, G={G} on |{lam}>"
-                )
+    for lam in _partitions_upto(used + 2):
+        if any(c for _, c in _window_terms(h1, density, lam, hmax)):
+            raise InconsistentError(
+                f"re-verification failed for d={d}, G={G} on |{lam}>"
+            )
     certificate = ReconstructionCertificate(
         d=d,
         G=G,
         ansatz_dimensions=MappingProxyType(ansatz.dimensions()),
         mmax_used=used,
         kernel_trace=tuple(trace),
-        verified_momenta=verified,
+        verified_momenta=tuple(range(used + 3)),
         density=density,
         hbar_window=hmax,
     )
@@ -228,6 +221,5 @@ def compare_with_wang(d: int, G: int, mmax: int | None = None) -> bool:
     """Reconstructed functional equals the closed form through hbar^G."""
     reconstructed = reconstruct(d, G, mmax)
     closed = wang_hamiltonian(d).density
-    lhs = to_functional(reconstructed.rep.hbar_truncate(G))
-    rhs = to_functional(closed.hbar_truncate(G))
-    return lhs == rhs
+    # the reconstructed side has no hbar power beyond G by construction
+    return reconstructed == to_functional(closed.hbar_truncate(G))

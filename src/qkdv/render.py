@@ -8,7 +8,7 @@ sorted descending: the renderers take the terms as a stream in ascending key
 order (``intersection.orderings``) with that denominator, build each signed
 term's text once and reverse the list, so identical inputs always produce
 identical bytes.  Each kind has one renderer; its ``latex`` flag only changes
-how factors, products and quotients are spelled.
+how factors, products, quotients and names (``latex_names``) are spelled.
 """
 
 from __future__ import annotations
@@ -73,15 +73,14 @@ def render_poly_latex(f: DiffPoly) -> str:
     return _render_poly(f, latex=True)
 
 
+def latex_names(names: list[str]) -> list[str]:
+    """m1, m2, ... as m_{1}, m_{2}, ...; a lone m stays m."""
+    return [f"m_{{{name[1:]}}}" if len(name) > 1 else name for name in names]
+
+
 def _mpoly_term(exps: tuple[int, ...], mag: int, names: list[str], latex: bool) -> str:
     sep = " " if latex else "*"
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 0:
-            continue
-        if latex and len(name) > 1:
-            name = f"m_{{{name[1:]}}}"
-        factors.append(_power(name, e, latex))
+    factors = [_power(name, e, latex) for name, e in zip(names, exps) if e]
     if not factors:
         return str(mag)
     body = sep.join(factors)
@@ -91,6 +90,8 @@ def _mpoly_term(exps: tuple[int, ...], mag: int, names: list[str], latex: bool) 
 def _render_mpoly(terms, names: list[str], den: int, latex: bool) -> str:
     """Render nonzero (exponents, Fraction) terms, given in ascending key
     order, over the common denominator den."""
+    if latex:
+        names = latex_names(names)
     signed = []
     for exps, c in terms:
         coeff = c.numerator * (den // c.denominator)

@@ -243,6 +243,20 @@ def test_intersect_text(capsys):
     assert "P(m1, m2, m3) = 1" in out
 
 
+def test_intersect_latex_header_subscripts_its_names(capsys):
+    for d, g, n in ((2, 1, 2), (12, 3, 8)):
+        code, out, _ = run(capsys, "intersect", "-d", str(d), "-g", str(g),
+                           "--format", "latex")
+        assert code == 0
+        header = out.splitlines()[1].partition(" = ")[0]
+        names = ", ".join(f"m_{{{i}}}" for i in range(1, n + 1))
+        assert header == f"P_{{{d},{g}}}({names})"
+        assert not re.search(r"\bm\d", out)
+    code, out, _ = run(capsys, "intersect", "-d", "1", "-g", "1", "--format", "latex")
+    assert code == 0
+    assert out.splitlines()[1].startswith("P_{1,1}(m) = ")
+
+
 def test_intersect_json(capsys):
     code, out, _ = run(capsys, "intersect", "-d", "2", "-g", "1", "--format", "json")
     assert code == 0
@@ -271,9 +285,10 @@ def test_intersect_json_keeps_its_bytes_beyond_the_benchmark(capsys):
 
 
 # sha256 of `intersect` stdout in the other two formats, frozen while every
-# ordering was still collected into dicts and sorted before rendering
+# ordering was still collected into dicts and sorted before rendering; the
+# LaTeX entry again once its header subscripted the names as its body does
 FROZEN_INTERSECT_FORMAT_SHA256 = {
-    (12, 3, "latex"): "f777d3604bc9f98acda93b03d0f135828f61cd642bdd086aa3c4ffb6973ba9f9",
+    (12, 3, "latex"): "6a3d682c9e9e8493439f45cbbd2284cd104bf2860c890d0bb0a6e5a5275d58b6",
     (13, 2, "text"): "48e0cb719d12d53fdef7b292298b88bca557a711e66bf5c36ca6e3c0bb0826ce",
 }
 

@@ -321,9 +321,14 @@ def test_check_commute_pairs():
     assert check_commute(0, 2, 5).witness is None
 
 
-def test_negative_mmax_is_refused():
-    # momenta <= -1 hold no state, so a report would check nothing
-    with pytest.raises(ValueError):
+def test_negative_mmax_is_refused(monkeypatch):
+    # momenta <= -1 hold no state, so a report would check nothing; the
+    # bound is refused before any density is loaded
+    def unreachable(d):
+        raise AssertionError(f"H_{d} was loaded for a negative mmax")
+
+    monkeypatch.setattr("qkdv.fock.wang_hamiltonian", unreachable)
+    with pytest.raises(ValueError, match="mmax must be >= 0"):
         check_commute(1, 2, -1)
     with pytest.raises(ValueError):
         classical_consistency(u(0, 3), u(1, 2), -1)

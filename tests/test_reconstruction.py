@@ -126,6 +126,16 @@ def test_complete_ansatz_gets_full_window():
         assert cert.to_json_dict()["hbar_window"] == "all"
 
 
+def test_ansatz_is_complete_from_half_the_index_on():
+    # every block beyond hbar^G is empty exactly when G >= d // 2: the least
+    # complete G for d = -1..12 is 0, 0, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6
+    for d in range(-1, 13):
+        for G in range(9):
+            assert qkdv.reconstruction._ansatz_complete(d, G) == (
+                G >= max(0, d // 2)
+            ), (d, G)
+
+
 def test_underdetermined_at_tiny_momentum():
     with pytest.raises(UnderdeterminedError) as info:
         reconstruct(2, 1, mmax=1)

@@ -1,6 +1,8 @@
-"""Source rules of the package: standard library only, and no floats."""
+"""Source rules of the package: standard library only, no floats, and each
+rule decided in one module."""
 
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -78,3 +80,27 @@ def test_only_cache_chooses_the_cache_directory():
             if imports_cache(node):
                 readers.add(path.name)
     assert readers == {"hierarchy.py", "verify.py", "cli.py"}
+
+
+def source_texts() -> dict:
+    return {path.name: path.read_text() for path in SOURCES}
+
+
+def test_only_render_spells_latex_variable_names():
+    # the LaTeX intersect header takes its names from render.latex_names
+    texts = source_texts()
+    spelled = [name for name, src in texts.items() if re.search(r"\bm_\{", src)]
+    assert spelled == ["render.py"]
+
+
+def test_only_cache_builds_the_density_document():
+    # cache.density_document alone names the engine version in a document
+    texts = source_texts()
+    named = {name for name, src in texts.items() if "ENGINE_VERSION" in src}
+    assert named == {"_version.py", "__init__.py", "cache.py"}
+
+
+def test_only_fock_refuses_a_negative_sector_bound():
+    # fock._partitions_upto refuses it for check_commute, classical_consistency
+    # and the re-verification; reconstruction keeps its own mmax=None check
+    assert source_texts()["fock.py"].count('"mmax must be >= 0"') == 1
