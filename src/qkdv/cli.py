@@ -5,7 +5,8 @@ COMMANDS below.
 
 Every command exits 0 exactly when its check or computation succeeds,
 1 on a mathematical failure, and 2 on a usage error.  Output bytes are
-deterministic for a fixed command line.
+deterministic for a fixed command line.  JSON documents and ``intersect``
+are written as they are made, in blocks of about 8 KiB (:func:`_write`).
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ for _name in ("fock", "intersection", "linalg", "reconstruction", "render", "ver
 from . import (
     cache, diffpoly, fock, hierarchy, intersection, reconstruction, render, verify,
 )
-import json
+from itertools import chain, islice
+from json.encoder import encode_basestring_ascii
 from types import SimpleNamespace
 
 
@@ -55,8 +57,63 @@ def _nonneg(value: str) -> int:
     return iv
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+def _write(pieces) -> None:
+    """Write str pieces to stdout in blocks of about 8 KiB: on an unbuffered
+    stdout each write is a system call, and one join holds the whole output."""
+    block, size = [], 0
+    for piece in pieces:
+        block.append(piece)
+        size += len(piece)
+        if size >= 8192:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+    sys.stdout.write("".join(block))
+
+
+class Members:
+    """A JSON object whose (key, value) members are drawn as it is written."""
+
+    def __init__(self, pairs):
+        self.items = lambda: pairs
+
+
+def _json(value, indent: str):
+    """The pieces of json.dumps(value, indent=2) at depth indent, for dicts
+    with str keys and Members, lists and tuples, strs and iterators of their
+    pieces, ints, bools and None; any other type raises TypeError."""
+    if isinstance(value, str):
+        yield encode_basestring_ascii(value)
+    elif value is None or isinstance(value, int):
+        yield ("null" if value is None else "true" if value is True
+               else "false" if value is False else int.__repr__(value))
+    elif isinstance(value, (dict, Members, list, tuple)):
+        keyed = not isinstance(value, (list, tuple))
+        brackets, inner, first = "{}" if keyed else "[]", indent + "  ", True
+        for item in value.items() if keyed else value:
+            head = (brackets[0] + "\n" if first else ",\n") + inner
+            first = False
+            if keyed:  # a key that is not a str raises TypeError here
+                key, item = item
+                head += encode_basestring_ascii(key) + ": "
+            # a str member goes out with its head, as json.dumps's encoder does
+            if isinstance(item, str):
+                yield head + encode_basestring_ascii(item)
+            else:
+                yield head
+                yield from _json(item, inner)
+        yield brackets if first else "\n" + indent + brackets[1]
+    elif hasattr(value, "__next__"):
+        yield '"'
+        for piece in value:  # escaped 256 pieces at a time
+            yield encode_basestring_ascii(piece + "".join(islice(value, 255)))[1:-1]
+        yield '"'
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
+def _emit_json(payload) -> None:
+    """print(json.dumps(payload, indent=2)), written as it is made."""
+    _write(chain(_json(payload, ""), "\n"))
 
 
 def cmd_hamiltonian(args) -> int:
@@ -128,34 +185,31 @@ def cmd_intersect(args) -> int:
         return 2
     names = intersection.variable_names(n)
     den = math.lcm(*(c.denominator for c in power.values()))
-    terms = intersection.orderings(power)
+    latex = args.format == "latex"
+    power_text = render.mpoly_pieces(
+        intersection.orderings(power, descending=True), names, den, latex
+    )
+    falling_pairs = (
+        ("(" + ",".join(map(str, exps)) + ")", c)
+        for exps, c in intersection.orderings(falling)
+    )
     if args.format == "json":
-        payload = {
-            "prediction": True,
-            "d": args.d,
-            "g": args.g,
-            "n": n,
-            "falling": {
-                "(" + ",".join(str(a) for a in exps) + ")": str(c)
-                for exps, c in intersection.orderings(falling)
-            },
-            "power": render.render_mpoly_text(terms, names, den),
-        }
-        _emit_json(payload)
-        return 0
-    if args.format == "latex":
-        print(f"% prediction: d={args.d}, g={args.g}, n={n}")
-        print(
-            f"P_{{{args.d},{args.g}}}({', '.join(render.latex_names(names))}) = "
-            f"{render.render_mpoly_latex(terms, names, den)}"
-        )
-        return 0
-    print("\n".join([
-        f"prediction for d={args.d}, g={args.g} (n={n} marked points)",
-        f"P({', '.join(names)}) = {render.render_mpoly_text(terms, names, den)}",
-        "falling-basis coefficients:",
-        *(f"  ({','.join(map(str, exps))}) -> {c}" for exps, c in intersection.orderings(falling)),
-    ]))
+        _emit_json({"prediction": True, "d": args.d, "g": args.g, "n": n,
+                    "falling": Members((key, str(c)) for key, c in falling_pairs),
+                    "power": power_text})
+    elif latex:
+        _write(chain(
+            [f"% prediction: d={args.d}, g={args.g}, n={n}\n"
+             f"P_{{{args.d},{args.g}}}({', '.join(render.latex_names(names))}) = "],
+            power_text, "\n",
+        ))
+    else:
+        _write(chain(
+            [f"prediction for d={args.d}, g={args.g} (n={n} marked points)\n"
+             f"P({', '.join(names)}) = "],
+            power_text, ["\nfalling-basis coefficients:"],
+            (f"\n  {key} -> {c}" for key, c in falling_pairs), "\n",
+        ))
     return 0
 
 

@@ -7,7 +7,8 @@ basis, of the degree-2g polynomial attached to the (g, n)-stratum family.
 The polynomial in n variables is symmetric: :func:`orbit_tables` keeps one
 entry per orbit, keyed by sorted exponents (falling: K per jet tuple; power:
 the coefficient of each ordering), and :func:`orderings` walks the tuples of
-bounded degree once, yielding each orbit's orderings in ascending key order.
+bounded degree once, yielding each orbit's orderings in ascending key order
+or, stepping each tuple to its predecessor, in descending key order.
 Converting falling factorials to ordinary powers is a per-variable Stirling
 transform, which commutes with permuting the variables: it runs on one
 sorted jet tuple t per orbit, weighted K / stab(t) (stab(t) = prod of t's
@@ -203,18 +204,44 @@ def orbit_tables(d: int, g: int) -> tuple[int, MPoly, MPoly]:
     return n, falling, {t: c * _stab(t) for t, c in orbits.items() if c}
 
 
-def orderings(orbits: MPoly):
+def _descending(n: int, top: int):
+    """The n-tuples of degree at most top in descending order, as one list
+    stepped in place to its predecessor: the last nonzero entry r drops by
+    one and the next one takes the degree left over, top - total + 1."""
+    exps, r, total = [top] + [0] * (n - 1), 0 if top else -1, top
+    while True:
+        yield exps
+        if r < 0:
+            return
+        exps[r] -= 1
+        if r < n - 1:
+            r += 1
+            exps[r], total = top - total + 1, top
+        else:
+            total -= 1
+            while r >= 0 and not exps[r]:
+                r -= 1
+
+
+def orderings(orbits: MPoly, descending: bool = False):
     """(ordering, coefficient) for the n!/stab(t) orderings of each orbit t,
-    in ascending key order: a walk over the C(top + n, n) n-tuples of degree
-    at most top, the largest key degree, keeping those in some orbit."""
+    in ascending key order, or descending: a walk over the C(top + n, n)
+    n-tuples of degree at most top, the largest key degree, keeping those in
+    some orbit, that holds nothing but the tuple in hand."""
     if not orbits:
         return
     n = len(next(iter(orbits)))
     top = max(map(sum, orbits))
-    # a non-decreasing c <-> its differences: lex order kept, sum = c[-1]
-    for c in combinations_with_replacement(range(top + 1), n):
+    if descending:
+        walk = _descending(n, top)
+    else:
+        # a non-decreasing c <-> its differences: lex order kept, sum = c[-1];
         # a list: tuple(map(...)) resizes tuples, stranding free-list blocks
-        exps = list(map(operator.sub, c, (0,) + c))
+        walk = (
+            list(map(operator.sub, c, (0,) + c))
+            for c in combinations_with_replacement(range(top + 1), n)
+        )
+    for exps in walk:
         coeff = orbits.get(tuple(sorted(exps)))
         if coeff is not None:
             yield tuple(exps), coeff

@@ -4,11 +4,12 @@ Densities print with ``u``, ``u1``, ``u2``, ... and ``hbar``, and (-i*hbar)^g
 grouped: each coefficient is a real rational (``diffpoly.unphased``) times
 that unit, which the cache load checks; any other raises ValueError.
 Stratum polynomials print over a common denominator with exponent tuples
-sorted descending: the renderers take the terms as a stream in ascending key
-order (``intersection.orderings``) with that denominator, build each signed
-term's text once and reverse the list, so identical inputs always produce
-identical bytes.  Each kind has one renderer; its ``latex`` flag only changes
-how factors, products, quotients and names (``latex_names``) are spelled.
+sorted descending: :func:`mpoly_pieces` takes the terms as a stream in that
+order (``intersection.orderings(table, descending=True)``) and yields each
+signed term's text as it reads it, so the command line writes a polynomial
+without holding it, and identical inputs always produce identical bytes.
+Each kind has one renderer; its ``latex`` flag only changes how factors,
+products, quotients and names (``latex_names``) are spelled.
 """
 
 from __future__ import annotations
@@ -87,32 +88,40 @@ def _mpoly_term(exps: tuple[int, ...], mag: int, names: list[str], latex: bool) 
     return body if mag == 1 else f"{mag}{sep}{body}"
 
 
-def _render_mpoly(terms, names: list[str], den: int, latex: bool) -> str:
-    """Render nonzero (exponents, Fraction) terms, given in ascending key
-    order, over the common denominator den."""
+def mpoly_pieces(terms, names: list[str], den: int, latex: bool):
+    """The text of nonzero (exponents, Fraction) terms, given in descending
+    key order, over the common denominator den, in pieces: one per term
+    (``"-2*m1^2"``, ``"+m2"``) behind a head that opens the quotient, then
+    its close.  Two terms are read ahead: a text quotient brackets its
+    numerator only when it has more than one."""
     if latex:
         names = latex_names(names)
-    signed = []
-    for exps, c in terms:
-        coeff = c.numerator * (den // c.denominator)
-        sign = "-" if coeff < 0 else "+"
-        signed.append(sign + _mpoly_term(exps, abs(coeff), names, latex))
-    if not signed:
-        return "0"
-    signed.reverse()
-    numerator = _signed_sum(signed, "+")
-    if den == 1:
-        return numerator
-    if latex:
-        return rf"\frac{{{numerator}}}{{{den}}}"
-    if len(signed) > 1:
-        numerator = f"({numerator})"
-    return f"{numerator}/{den}"
+    signed = (
+        ("-" if c.numerator < 0 else "+")
+        + _mpoly_term(exps, abs(c.numerator) * (den // c.denominator), names, latex)
+        for exps, c in terms
+    )
+    first, second = next(signed, None), next(signed, None)
+    if first is None:
+        yield "0"
+        return
+    head, tail = "", ""
+    if den != 1:
+        head, tail = (
+            (r"\frac{", f"}}{{{den}}}") if latex
+            else ("(", f")/{den}") if second is not None
+            else ("", f"/{den}")
+        )
+    yield head + first.removeprefix("+")
+    if second is not None:
+        yield second
+        yield from signed
+    yield tail
 
 
 def render_mpoly_text(terms, names: list[str], den: int) -> str:
-    return _render_mpoly(terms, names, den, latex=False)
+    return "".join(mpoly_pieces(terms, names, den, latex=False))
 
 
 def render_mpoly_latex(terms, names: list[str], den: int) -> str:
-    return _render_mpoly(terms, names, den, latex=True)
+    return "".join(mpoly_pieces(terms, names, den, latex=True))

@@ -10,7 +10,9 @@ import shlex
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +22,7 @@ import qkdv
 from qkdv import DiffMonomial, DiffPoly, Scalar, hierarchy, reconstruction
 from qkdv._version import ENGINE_VERSION
 from qkdv.cache import _checksum, density_path, load_density, store_density
-from qkdv.cli import COMMANDS, _parse_plain, build_parser, main
+from qkdv.cli import COMMANDS, Members, _emit_json, _parse_plain, build_parser, main
 from qkdv.diffpoly import dx, to_json_dict, variational_derivative
 from qkdv.hierarchy import clear_memory_memo, wang_hamiltonian
 from qkdv.render import render_poly_text
@@ -303,32 +305,36 @@ def test_intersect_latex_and_text_keep_their_bytes(capsys):
 
 # tracemalloc peak of the benchmark's largest `intersect` job, in bytes, on
 # Python 3.11: 2 050 427 while the CLI built every ordering into dicts and
-# sorted them, 925 843 streaming them from the orbit tables; bound halfway
-INTERSECT_PEAK_BYTES = (2_050_427 + 925_843) // 2
+# sorted them, 925 843 streaming them from the orbit tables (bound halfway);
+# 766 755 while the document was still built whole, 58 681 written as it is
+# made, so the orbit tables set the peak; bound halfway
+INTERSECT_PEAK_BYTES = (766_755 + 58_681) // 2
 
 # the same peak in the other two formats: 779 775 (latex) and 663 255 (text)
 # while merged per-orbit streams fed a renderer that held each term as a
 # (sign, text) pair next to its signed text; 454 927 and 338 342 from the
-# bounded-degree walk with each signed term built once; bounds halfway
+# bounded-degree walk with each signed term built once (bounds halfway);
+# 453 903 and 336 742 while the polynomial's text was joined whole, 60 954
+# and 75 456 written as it is made; bounds halfway
 INTERSECT_FORMAT_PEAK_BYTES = {
-    "latex": (779_775 + 454_927) // 2,
-    "text": (663_255 + 338_342) // 2,
+    "latex": (453_903 + 60_954) // 2,
+    "text": (336_742 + 75_456) // 2,
 }
 
 
-def _intersect_peak(tmp_path, fmt: str) -> int:
-    """tracemalloc peak of `intersect -d 12 -g 3 --format fmt` in a fresh
-    interpreter, with H_12 cached and the lazily loaded modules run."""
+def _intersect_peak(tmp_path, fmt: str, d: int = 12, g: int = 3) -> int:
+    """tracemalloc peak of `intersect -d D -g G --format fmt` in a fresh
+    interpreter, with H_D cached and the lazily loaded modules run."""
     probe = (
         "import os, sys, tracemalloc\n"
         "import qkdv.cli\n"
         "from qkdv import hierarchy, intersection, render\n"
-        "hierarchy.wang_hamiltonian(12)\n"
+        f"hierarchy.wang_hamiltonian({d})\n"
         # run the lazily loaded modules before measuring
         "intersection.extract_coeff_table, render.render_poly_text\n"
         "sys.stdout = open(os.devnull, 'w')\n"
         "tracemalloc.start()\n"
-        f"rc = qkdv.cli.main(['intersect', '-d', '12', '-g', '3', '--format', '{fmt}'])\n"
+        f"rc = qkdv.cli.main(['intersect', '-d', '{d}', '-g', '{g}', '--format', '{fmt}'])\n"
         "sys.__stdout__.write(f'{rc} {tracemalloc.get_traced_memory()[1]}')\n"
     )
     child = subprocess.run(
@@ -354,6 +360,80 @@ def test_intersect_latex_and_text_peak_memory(tmp_path, fmt):
     """The LaTeX and text renderers hold each term's text once."""
     peak = _intersect_peak(tmp_path, fmt)
     assert peak < INTERSECT_FORMAT_PEAK_BYTES[fmt], peak
+
+
+@pytest.fixture(scope="module")
+def h14_cache(tmp_path_factory):
+    return tmp_path_factory.mktemp("h14")
+
+
+@pytest.mark.parametrize("fmt", ["json", "latex", "text"])
+def test_intersect_peak_memory_does_not_grow_with_the_orderings(h14_cache, fmt):
+    """`intersect -d 14 -g 4` walks 12 870 tuples per basis, against 5 005
+    for `-d 12 -g 3`, and writes 4 to 5 times the bytes, yet stays under the
+    smaller job's bound: the output is written as it is made."""
+    bound = INTERSECT_FORMAT_PEAK_BYTES.get(fmt, INTERSECT_PEAK_BYTES)
+    peak = _intersect_peak(h14_cache, fmt, d=14, g=4)
+    assert peak < bound, peak
+
+
+def _emitted(payload) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _emit_json(payload)
+    return out.getvalue()
+
+
+def _lazy(value):
+    """value with every dict given as Members and every str as an iterator
+    of pieces, empty ones among them."""
+    if isinstance(value, dict):
+        return Members((key, _lazy(v)) for key, v in value.items())
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(_lazy, value))
+    if isinstance(value, str):
+        return iter([value[:1], "", value[1:3], value[3:]])
+    return value
+
+
+_JSON_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f aZé€\u2028😀') | st.characters())
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.sampled_from([-(10**40), 10**40])
+    | _JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_JSON_TEXT, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON)
+def test_emit_json_writes_what_json_dumps_prints(payload):
+    expected = json.dumps(payload, indent=2) + "\n"
+    assert _emitted(payload) == expected
+    assert _emitted(_lazy(payload)) == expected
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [1.5, {"a": [0.0]}, {1: "a"}, {("a",): 1}, Members([(2, "x")]),
+     {"a": Fraction(1, 2)}, [b"x"], {"a": {1, 2}}],
+)
+def test_emit_json_refuses_other_types(payload):
+    with pytest.raises(TypeError):
+        _emitted(payload)
+
+
+def test_emit_json_writes_in_bounded_blocks():
+    """Pieces go out in blocks of about 8 KiB, not one write each nor one
+    write of the whole document."""
+    writes = []
+    sink = SimpleNamespace(write=lambda text: writes.append(len(text)))
+    payload = {"rows": [str(i) * 20 for i in range(5000)]}
+    with contextlib.redirect_stdout(sink):
+        _emit_json(payload)
+    assert sum(writes) == len(json.dumps(payload, indent=2)) + 1
+    assert 10 < len(writes) < 100 and max(writes) < 8192 + 100, writes
 
 
 # sha256 of `s-series -k 12` stdout per format, frozen while the series was

@@ -3,7 +3,7 @@
 import math
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations_with_replacement, permutations, product
 
 import sympy
 from hypothesis import example, given, settings
@@ -206,6 +206,39 @@ def test_orderings_walk_lists_each_orbit_ascending(table):
     assert list(orderings(table)) == sorted(
         (p, c) for key, c in table.items() for p in set(permutations(key))
     )
+
+
+@given(orbit_tables_of_mixed_degree())
+@example({})
+@example({(0, 0, 3): s(1), (1, 1, 1): s(-2), (0, 1, 1): s(3, 2), (0, 0, 0): s(5)})
+def test_descending_walk_reverses_the_ascending_one(table):
+    assert list(orderings(table, descending=True)) == list(orderings(table))[::-1]
+
+
+def test_descending_walk_on_every_table_verify_visits_and_every_small_one():
+    """The predecessor walk lists what the ascending walk lists, reversed:
+    on both orbit tables of every (d, g) of verify's full intersection
+    check, and on the table of every orbit of n <= 5 variables and degree
+    at most top <= 6, where it lists every tuple of that degree."""
+    from qkdv import verify
+
+    for d in range(-1, verify._LEVELS["full"]["ham_dmax"] + 1):
+        for g in extract_coeff_table(d).genera():
+            for table in orbit_tables(d, g)[1:]:
+                down = list(orderings(table, descending=True))
+                assert down == list(orderings(table))[::-1], (d, g)
+    for n in range(1, 6):
+        for top in range(7):
+            every = {
+                key: s(1) for key in combinations_with_replacement(range(top + 1), n)
+                if sum(key) <= top
+            }
+            down = [p for p, _ in orderings(every, descending=True)]
+            assert down == [p for p, _ in orderings(every)][::-1]
+            assert down == sorted(
+                (p for p in product(range(top + 1), repeat=n) if sum(p) <= top),
+                reverse=True,
+            ), (n, top)
 
 
 def test_intersection_check_assembles_each_stratum_once(monkeypatch):

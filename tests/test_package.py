@@ -23,7 +23,7 @@ import qkdv
 from qkdv import DiffMonomial, DiffPoly, HamiltonianRecord, Scalar
 
 SRC = Path(qkdv.__file__).resolve().parent.parent
-ENV = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)}
+ENV = {"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC), "PYTHONDONTWRITEBYTECODE": "1"}
 LAZY = ("fock", "intersection", "reconstruction", "verify")
 SUBMODULES = sorted(
     p.stem for p in (SRC / "qkdv").glob("*.py") if not p.stem.startswith("_")

@@ -45,7 +45,7 @@ def test_importing_the_cli_loads_every_spanned_module():
         capture_output=True,
         text=True,
         check=True,
-        env={"PATH": "/usr/bin:/bin",
+        env={"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1",
              "PYTHONPATH": str(Path(qkdv.__file__).resolve().parent.parent)},
     )
     loaded = set(child.stdout.split())
@@ -64,7 +64,7 @@ def test_memos_are_fock_lru_caches():
 def test_traced_job_runs_a_light_command_like_the_cli(tmp_path):
     """The tracer forces every lazily loaded module while it instruments;
     a density request must still print the CLI's bytes and record spans."""
-    env = {"PATH": "/usr/bin:/bin",
+    env = {"PATH": "/usr/bin:/bin", "PYTHONDONTWRITEBYTECODE": "1",
            "PYTHONPATH": str(Path(qkdv.__file__).resolve().parent.parent)}
     argv = ["hamiltonian", "-d", "2"]
     plain = subprocess.run(
