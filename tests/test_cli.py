@@ -167,11 +167,15 @@ def test_every_benchmark_command_is_parsed_without_argparse(tmp_path):
 
 def readme_examples():
     """(command, expected lines) of each `$ qkdv` example in the README's
-    "Command line" section."""
+    "Command line" section, with the command's arguments as the test id, so
+    that adding an example renames no other test."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
     section = readme.split("\n## Command line\n")[1].split("\n## ")[0]
     blocks = re.findall(r"^```\n\$ (qkdv .*?)^```$", section, re.M | re.S)
-    return [(b.split("\n")[0], b.split("\n")[1:-1]) for b in blocks]
+    return [
+        pytest.param(command, lines, id=command.removeprefix("qkdv "))
+        for command, *lines, _ in (b.split("\n") for b in blocks)
+    ]
 
 
 @pytest.mark.parametrize("command, lines", readme_examples())

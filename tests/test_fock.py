@@ -30,14 +30,9 @@ from qkdv import (
     run_suite,
     wang_hamiltonian,
 )
-from qkdv import fock
-from qkdv.fock import (
-    _assignment_count,
-    _split_apply,
-    _tracked_single,
-    clear_fock_caches,
-    single_contraction_apply,
-)
+from qkdv import fock, fockkernel, fockspace
+from qkdv.fock import clear_fock_caches, single_contraction_apply
+from qkdv.fockkernel import _assignment_count, _split_apply, _tracked_single
 from qkdv.scalars import I, accumulate, as_scalar
 from qkdv.verify import random_density
 
@@ -466,13 +461,19 @@ def test_constants_act_as_multiplication():
 
 
 def test_clearing_empties_every_kernel_memo():
-    """Every lru_cache among the module's globals, found by introspection,
-    so a memo added later cannot be left out of the reset."""
+    """Every lru_cache among the globals of fockspace, fockkernel and fock,
+    found by introspection, so a memo added later cannot be left out of the
+    reset."""
     memos = {
-        name: memo for name, memo in vars(fock).items()
+        f"{module.__name__}.{name}": memo
+        for module in (fockspace, fockkernel, fock)
+        for name, memo in vars(module).items()
         if callable(getattr(memo, "cache_info", None))
     }
-    assert {"_split_apply", "_apply_to_basis", "_tracked_single"} <= set(memos)
+    assert {
+        "qkdv.fock._split_apply", "qkdv.fock._apply_to_basis",
+        "qkdv.fock._tracked_single", "qkdv.fockspace.partitions_of",
+    } <= set(memos)
     check_commute(1, 2, 3)
     classical_consistency(u(0, 3), u(0) * u(1, 2), 3)
     assert all(memo.cache_info().currsize for memo in memos.values())
