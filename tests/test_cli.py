@@ -1,7 +1,9 @@
 """Command-line interface: outputs, exit codes, cache behavior."""
 
+import atexit
 import contextlib
 import errno
+import gc
 import hashlib
 import io
 import json
@@ -807,3 +809,47 @@ def test_failed_cache_write_leaves_no_temp_file(capsys, tmp_path, monkeypatch):
     assert (code, out) == (0, expected)
     assert err.count("warning") == 1 and "No space left on device" in err
     assert not list((tmp_path / "wang").glob("*.tmp*"))
+
+
+@pytest.mark.parametrize("runs", [0, 2])
+def test_a_cli_process_exits_with_its_heap_frozen(tmp_path, runs):
+    """main registers gc.freeze with atexit, and importing qkdv.cli does not:
+    a probe registered before main runs after the freeze (handlers run last
+    in, first out) and finds the heap frozen once main has run, once or
+    twice, and untouched when it has not."""
+    probe = (
+        "import atexit, gc, sys\n"
+        "import qkdv.cli\n"
+        "before = gc.get_freeze_count()\n"
+        "atexit.register(lambda: sys.stderr.write(f'{before} {gc.get_freeze_count()}'))\n"
+        f"for _ in range({runs}):\n"
+        "    qkdv.cli.main(['hamiltonian', '-d', '1', '--format', 'json'])\n"
+    )
+    child = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True,
+        env={"PATH": "/usr/bin:/bin", "PYTHONPATH": _PACKAGE_ROOT,
+             "PYTHONDONTWRITEBYTECODE": "1", "QKDV_CACHE": str(tmp_path)},
+    )
+    assert child.returncode == 0, child.stderr
+    before, after = map(int, child.stderr.split())
+    assert after > before if runs else after == before
+    assert child.stdout.count('"engine"') == runs
+
+
+def test_main_registers_one_exit_freeze_and_leaves_the_collector_alone(
+    capsys, monkeypatch
+):
+    """However often main runs, one gc.freeze is registered to run at exit,
+    and an in-process caller's collector is as it was before the call."""
+    registered = []
+
+    def unregister(fn):
+        registered[:] = [f for f in registered if f != fn]
+
+    monkeypatch.setattr(atexit, "register", registered.append)
+    monkeypatch.setattr(atexit, "unregister", unregister)
+    frozen, enabled = gc.get_freeze_count(), gc.isenabled()
+    for _ in range(2):
+        assert run(capsys, "hamiltonian", "-d", "1")[0] == 0
+    assert registered == [gc.freeze]
+    assert (gc.get_freeze_count(), gc.isenabled()) == (frozen, enabled)

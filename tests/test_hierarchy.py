@@ -16,6 +16,7 @@ from qkdv import (
     classical_flow_rhs,
     dx,
     is_homogeneous,
+    partial_u,
     partitions_of,
     s_partial_check,
     s_series,
@@ -160,14 +161,32 @@ def test_vder_recursion_direct_and_checked():
         ) == wang_hamiltonian(d - 1).density
 
 
+def test_string_equation_in_u0():
+    """dH_d/du_0 = H_(d-1) exactly, the string equation, for d = 0..16."""
+    for d in range(17):
+        assert partial_u(wang_hamiltonian(d).density, 0) == wang_hamiltonian(
+            d - 1
+        ).density, d
+
+
+def test_string_equation_rejects_a_forgery_the_recursion_accepts():
+    """H_2 + (-i/7)*hbar*dx(u*u1), the forged cache entry that
+    test_cli.py::test_forged_entry_with_a_total_derivative_added_is_trusted
+    shows is trusted: delta/delta u kills the total derivative, so the
+    variational recursion holds, but d/du_0 of dx(u*u1) is u2."""
+    true, lower = wang_hamiltonian(2).density, wang_hamiltonian(1).density
+    forged = true + DiffPoly.hbar() * dx(u(0) * u(1)) * Scalar.of(0, "-1/7")
+    assert variational_derivative(forged) == lower
+    assert partial_u(true, 0) == lower
+    assert partial_u(forged, 0) - lower == DiffPoly.hbar() * u(2) * Scalar.of(0, "-1/7")
+
+
 def test_s_partial_pattern():
     s = s_series(7)
     for d in range(0, 6):
         for sidx in range(0, d + 3):
             assert s_partial_check(d, sidx)
     # closed form: dS_(d+1)/du_s = S_(d-s)/(s+1)!
-    from qkdv import partial_u
-
     assert partial_u(s.coeff(3), 0) == s.coeff(2)
     assert partial_u(s.coeff(3), 1) == s.coeff(1) / 2
     assert partial_u(s.coeff(3), 5).is_zero()
