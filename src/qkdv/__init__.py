@@ -31,12 +31,10 @@ _PUBLIC = {
         "scale_substitute", "to_json", "to_json_dict", "variational_derivative",
     ),
     "fock": (
-        "CommutatorNonzero", "CommuteReport", "MismatchError",
-        "apply_quantized", "check_commute", "classical_consistency",
-        "commutator_apply",
+        "CommutatorNonzero", "CommuteReport", "FockVector", "MismatchError",
+        "Partition", "SectorScalar", "apply_quantized", "check_commute",
+        "classical_consistency", "commutator_apply", "partitions_of",
     ),
-    "fockkernel": (),
-    "fockspace": ("FockVector", "Partition", "SectorScalar", "partitions_of"),
     "functionals": (
         "LocalFunctional", "component_monomials", "functional_basis",
         "integrand_normal_form", "poisson_bracket", "poisson_density",

@@ -112,8 +112,9 @@ def _check_recursions(bounds) -> str:
     for d in range(dmax + 1):
         if not check_vder_recursion(d):
             raise AssertionError(f"variational recursion fails at d={d}")
+    # the coefficients through z^(d+1) do not depend on where the expansion stops
+    series = s_series(dmax + 1)
     for d in range(dmax + 1):
-        series = s_series(d + 1)
         for s in range(d + 2):
             if not series.partial_holds(d, s):
                 raise AssertionError(f"series partial fails at d={d}, s={s}")

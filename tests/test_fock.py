@@ -30,9 +30,14 @@ from qkdv import (
     run_suite,
     wang_hamiltonian,
 )
-from qkdv import fock, fockkernel, fockspace
-from qkdv.fock import clear_fock_caches, single_contraction_apply
-from qkdv.fockkernel import _assignment_count, _split_apply, _tracked_single
+from qkdv import fock
+from qkdv.fock import (
+    _assignment_count,
+    _split_apply,
+    _tracked_single,
+    clear_fock_caches,
+    single_contraction_apply,
+)
 from qkdv.scalars import I, accumulate, as_scalar
 from qkdv.verify import random_density
 
@@ -461,18 +466,15 @@ def test_constants_act_as_multiplication():
 
 
 def test_clearing_empties_every_kernel_memo():
-    """Every lru_cache among the globals of fockspace, fockkernel and fock,
-    found by introspection, so a memo added later cannot be left out of the
-    reset."""
+    """Every lru_cache among the globals of fock, found by introspection, so
+    a memo added later cannot be left out of the reset."""
     memos = {
-        f"{module.__name__}.{name}": memo
-        for module in (fockspace, fockkernel, fock)
-        for name, memo in vars(module).items()
+        name: memo
+        for name, memo in vars(fock).items()
         if callable(getattr(memo, "cache_info", None))
     }
     assert {
-        "qkdv.fock._split_apply", "qkdv.fock._apply_to_basis",
-        "qkdv.fock._tracked_single", "qkdv.fockspace.partitions_of",
+        "_split_apply", "_apply_to_basis", "_tracked_single", "partitions_of",
     } <= set(memos)
     check_commute(1, 2, 3)
     classical_consistency(u(0, 3), u(0) * u(1, 2), 3)

@@ -194,22 +194,35 @@ def test_s_partial_pattern():
 
 def test_recursion_check_expands_each_series_once(monkeypatch):
     """verify's recursion check tests the series partials for every
-    s <= d + 1 on one expansion of the S-series per d, not one per s."""
+    d <= dmax and s <= d + 1 on one expansion of the S-series through
+    z^(dmax+1), not one per d or per s."""
     from qkdv import verify
 
     for level, dmax in (("quick", 3), ("full", 5)):
         for d in range(-1, dmax + 1):
             wang_hamiltonian(d)  # the densities come from the memo
-        calls = []
+        series, expansions = [], []
+
+        def counted_series(kmax):
+            series.append(kmax)
+            return s_series(kmax)
 
         def counted(*args):
-            calls.append(args[0])
+            expansions.append(args[0])
             return _exp_series(*args)
 
+        monkeypatch.setattr(verify, "s_series", counted_series)
         monkeypatch.setattr(hierarchy, "_exp_series", counted)
         verify._check_recursions(verify._LEVELS[level])
         monkeypatch.undo()
-        assert sorted(calls) == list(range(1, dmax + 2)), level
+        assert series == expansions == [dmax + 1], level
+
+
+def test_one_series_has_the_coefficients_of_every_shorter_one():
+    # _exp_series divides its lcm back out, so where it stops does not matter
+    longest = s_series(6)
+    for kmax in range(6):
+        assert s_series(kmax).coeffs == longest.coeffs[: kmax + 1]
 
 
 def test_cache_round_trip(tmp_cache):

@@ -13,7 +13,6 @@ has already loaded most modules.
 
 import subprocess
 import sys
-import tracemalloc
 import types
 from fractions import Fraction
 from pathlib import Path
@@ -130,33 +129,11 @@ def test_intersect_runs_only_the_intersection_module(tmp_path):
     "argv", [("hamiltonian", "-d", "2"), ("intersect", "-d", "4", "-g", "1")]
 )
 def test_density_and_intersect_requests_load_no_fock_module(tmp_path, argv):
-    loaded = probe(tmp_path, *argv)[1]
-    assert loaded.isdisjoint({"qkdv.fockspace", "qkdv.fockkernel"})
-
-
-def compile_peak(name: str) -> int:
-    """tracemalloc peak, in bytes, of compiling src/qkdv/<name>.py."""
-    source = (SRC / "qkdv" / f"{name}.py").read_bytes()
-    assert not tracemalloc.is_tracing()
-    tracemalloc.start()
-    try:
-        compile(source, name, "exec", dont_inherit=True)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
-def test_each_fock_module_compiles_in_less_memory_than_an_eager_one():
-    # Every command compiles cli, cache, diffpoly and hierarchy before it
-    # can reach the Fock layer (when no bytecode is cached), so a Fock module
-    # whose compile peaks below the largest of theirs reuses memory freed
-    # before and adds nothing to the process's peak: that is why the layer
-    # is three modules.  Peaks are compared with each other, not with a byte
-    # count, which differs between Python versions, and with four modules,
-    # not cli alone, so making cli.py smaller does not fail the test.
-    eager = max(map(compile_peak, ("cli", "cache", "diffpoly", "hierarchy")))
-    peaks = {name: compile_peak(name) for name in ("fock", "fockkernel", "fockspace")}
-    assert all(peak < eager for peak in peaks.values()), (eager, peaks)
+    # fock is the whole Fock layer: it is registered lazily and never runs,
+    # and no other qkdv.fock* module is loaded beside it
+    executed, loaded = probe(tmp_path, *argv, watch=("fock",))
+    assert executed == set()
+    assert {m for m in loaded if m.startswith("qkdv.fock")} == {"qkdv.fock"}
 
 
 @pytest.mark.parametrize(
@@ -219,6 +196,13 @@ def test_every_public_name_resolves_to_its_home_object():
         home = getattr(obj, "__module__", "qkdv._version")
         assert home.startswith("qkdv."), name
         assert getattr(sys.modules[home], name) is obj, name
+
+
+def test_the_fock_types_are_homed_in_the_one_fock_module():
+    for name in ("Partition", "SectorScalar", "FockVector", "partitions_of"):
+        assert getattr(qkdv, name) is getattr(qkdv.fock, name), name
+        assert getattr(qkdv, name).__module__ == "qkdv.fock", name
+    assert len(qkdv.__all__) == 61
 
 
 def test_star_import_binds_every_home_object_in_a_fresh_interpreter():
