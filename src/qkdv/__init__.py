@@ -1,28 +1,27 @@
 """Exact symbolic engine for a quantized dispersionless KdV hierarchy.
 
-``import qkdv`` runs this module and ``_version`` only.  Every other public
-name, and every submodule, resolves on first access through ``__getattr__``,
-which imports the module that ``_PUBLIC`` names as its home with
-``importlib.import_module`` (and so under the import lock); a submodule is
-imported with whatever it imports itself.  ``qkdv.cli`` additionally
-registers the modules it binds before it uses them (``fock``,
-``intersection``, ``linalg``, ``reconstruction``, ``render``, ``verify``)
-through ``importlib.util.LazyLoader``: those run on first attribute access,
-so a command that does not use one never compiles it.  On Python 3.10 and
-3.11 ``LazyLoader`` takes no lock, so after ``import qkdv.cli`` the first
-access to one of those six must not race another thread's; qkdv itself
-starts no threads.  ``__all__`` is derived from ``_PUBLIC``.
+``import qkdv`` runs this module only: it defines ``ENGINE_VERSION``, which
+keys the density cache.  Every other public name, and every submodule,
+resolves on first access through ``__getattr__``, which imports the module
+that ``_PUBLIC`` names as its home with ``importlib.import_module`` (and so
+under the import lock); a submodule is imported with whatever it imports
+itself.  ``qkdv.cli`` additionally registers the modules it binds before it
+uses them (``fock``, ``intersection``, ``linalg``, ``reconstruction``,
+``render``, ``verify``) through ``importlib.util.LazyLoader``: those run on
+first attribute access, so a command that does not use one never compiles
+it.  On Python 3.10 and 3.11 ``LazyLoader`` takes no lock, so after ``import
+qkdv.cli`` the first access to one of those six must not race another
+thread's; qkdv itself starts no threads.  ``__all__`` is ``ENGINE_VERSION``
+and the names of ``_PUBLIC``.
 """
 
 import importlib
 
-from ._version import ENGINE_VERSION
-
+ENGINE_VERSION = "0.1.0"
 __version__ = ENGINE_VERSION
 
 # every submodule and the public names it exports from the package root
 _PUBLIC = {
-    "_version": ("ENGINE_VERSION",),
     "cache": (),
     "cli": (),
     "diffpoly": (
@@ -61,7 +60,7 @@ _PUBLIC = {
     "verify": ("VerifySummary", "run_suite"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
-__all__ = sorted(_HOME)
+__all__ = sorted([*_HOME, "ENGINE_VERSION"])
 
 
 def __getattr__(name: str):

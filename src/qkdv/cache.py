@@ -25,7 +25,7 @@ import threading
 import zlib
 from pathlib import Path
 
-from ._version import ENGINE_VERSION
+from . import ENGINE_VERSION
 from .diffpoly import DiffPoly, from_json_dict, to_json_dict
 
 ENV_VAR = "QKDV_CACHE"

@@ -31,7 +31,7 @@ import json
 from collections import namedtuple
 from fractions import Fraction
 
-from .scalars import ONE, Scalar, SparseMap, accumulate, as_scalar
+from .scalars import ONE, Scalar, SparseMap, accumulate, as_scalar, parse_rational
 
 
 class OddPowerError(ValueError):
@@ -307,12 +307,6 @@ def to_json_dict(f: DiffPoly) -> dict:
     return {"terms": terms}
 
 
-def _rational(text: str) -> Fraction:
-    # "p" or "p/q" only: Fraction("1e999999999") would compute 10**999999999
-    num, slash, den = text.partition("/")
-    return Fraction(int(num), int(den) if slash else 1)
-
-
 def from_json_dict(d: dict) -> DiffPoly:
     """Parse :func:`to_json_dict` output; numbers must be exact: str or int."""
     pairs = []
@@ -322,7 +316,7 @@ def from_json_dict(d: dict) -> DiffPoly:
         if not exact or {type(hbar), *map(type, uexp.values())} != {int}:
             raise TypeError(f"inexact or mistyped term {entry!r}")
         mono = DiffMonomial.make({int(s): e for s, e in uexp.items()}, hbar)
-        pairs.append((mono, Scalar(_rational(c["re"]), _rational(c["im"]))))
+        pairs.append((mono, Scalar(parse_rational(c["re"]), parse_rational(c["im"]))))
     return DiffPoly(accumulate(pairs))
 
 

@@ -30,7 +30,7 @@ import operator
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement, groupby, product
+from itertools import combinations_with_replacement, product
 
 from .diffpoly import DiffMonomial, DiffPoly, phased, unphased
 from .hierarchy import wang_hamiltonian
@@ -109,6 +109,11 @@ class FallingCoeffTable(namedtuple("FallingCoeffTable", "d entries")):
         return {s: K for (gg, s), K in self.entries.items() if gg == g}
 
 
+def _stab(t: tuple[int, ...]) -> int:
+    """Product of t's multiplicities' factorials, in any order: n!/orbit size."""
+    return math.prod([math.factorial(t.count(a)) for a in set(t)])
+
+
 def extract_coeff_table(d: int) -> FallingCoeffTable:
     """Invert the closed form: one rational K per monomial of the d-th density."""
     density = wang_hamiltonian(d).density
@@ -127,8 +132,7 @@ def extract_coeff_table(d: int) -> FallingCoeffTable:
             raise ValueError(
                 f"monomial {mono} of H_{d}: {c} is not real times (-i)^{g}"
             )
-        multiplicity = math.prod([math.factorial(e) for _, e in mono.uexp])
-        entries[(g, jets)] = base * multiplicity
+        entries[(g, jets)] = base * _stab(jets)
     return FallingCoeffTable(d, entries)
 
 
@@ -137,14 +141,8 @@ def reassemble_density(table: FallingCoeffTable) -> DiffPoly:
     pairs = []
     for (g, jets), K in table.entries.items():
         mono = DiffMonomial.make([(s, 1) for s in jets], g)
-        multiplicity = math.prod([math.factorial(e) for _, e in mono.uexp])
-        pairs.append((mono, phased(Scalar(K / multiplicity), g)))
+        pairs.append((mono, phased(Scalar(K / _stab(jets)), g)))
     return DiffPoly(accumulate(pairs))
-
-
-def _stab(t: tuple[int, ...]) -> int:
-    """Product of the multiplicities' factorials of a sorted tuple: n!/orbit size."""
-    return math.prod([math.factorial(len(list(run))) for _, run in groupby(t)])
 
 
 def variable_names(n: int) -> list[str]:

@@ -4,7 +4,8 @@ Density and Fock coefficients live in Q(i): numbers ``re + im*i`` with
 arbitrary-precision rational components.  Components are
 :class:`fractions.Fraction`, so they are always reduced with a positive
 denominator; structural equality is value equality and hashing is safe.
-No floating point appears anywhere.
+No floating point appears anywhere, and rational text has one reader,
+:func:`parse_rational`: ``p`` or ``p/q`` in integers.
 
 :class:`SparseMap` is the one sparse coefficient type underneath densities
 (``DiffPoly``), Fock amplitudes (``SectorScalar``) and states
@@ -19,11 +20,19 @@ from collections import namedtuple
 from fractions import Fraction
 
 
+def parse_rational(text: str) -> Fraction:
+    # "p" or "p/q" only: Fraction("1e999999999") would compute 10**999999999
+    num, slash, den = text.partition("/")
+    return Fraction(int(num), int(den) if slash else 1)
+
+
 def _frac(x) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
+    if isinstance(x, str):
+        return parse_rational(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
@@ -34,7 +43,7 @@ class Scalar(namedtuple("Scalar", "re im", defaults=(Fraction(0), Fraction(0))))
 
     @staticmethod
     def of(re, im=0) -> Scalar:
-        """Build a Scalar from ints, Fractions or rational strings like "1/6"."""
+        """Build a Scalar from ints, Fractions or ``p``/``p/q`` strings like "1/6"."""
         return Scalar(_frac(re), _frac(im))
 
     def is_zero(self) -> bool:

@@ -21,8 +21,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qkdv
-from qkdv import DiffMonomial, DiffPoly, Scalar, hierarchy, reconstruction
-from qkdv._version import ENGINE_VERSION
+from qkdv import (
+    ENGINE_VERSION, DiffMonomial, DiffPoly, Scalar, hierarchy, reconstruction,
+)
 from qkdv.cache import _checksum, density_path, load_density, store_density
 from qkdv.cli import COMMANDS, Members, _emit_json, _parse_plain, build_parser, main
 from qkdv.diffpoly import dx, to_json_dict, variational_derivative

@@ -144,6 +144,31 @@ def test_first_functional_is_classical():
     ).is_zero()
 
 
+def failed_checks():
+    from qkdv import verify
+
+    return [(r.name, r.detail) for r in verify.run_suite("quick").results if not r.passed]
+
+
+def test_verify_fails_closed_form_expansion_on_a_wrong_frozen_h1(monkeypatch, tmp_cache):
+    # the frozen value without its hbar term: H_1 itself passes every other check
+    monkeypatch.setattr("qkdv.verify.known_first_density", lambda: u(0, 3) / 6)
+    assert failed_checks() == [
+        ("closed-form-expansion", "AssertionError: H_1 differs from its frozen value")
+    ]
+
+
+def test_verify_fails_first_hamiltonian_on_a_wrong_h1_functional(monkeypatch, tmp_cache):
+    # a record of H_1 with the right density and the functional of u^3/3
+    wrong = wang_hamiltonian(1)._replace(functional=to_functional(u(0, 3) / 3))
+    monkeypatch.setattr(
+        "qkdv.verify.wang_hamiltonian", lambda d: wrong if d == 1 else wang_hamiltonian(d)
+    )
+    assert failed_checks() == [
+        ("first-hamiltonian", "AssertionError: H_1 functional differs from u^3/6")
+    ]
+
+
 def test_translation_flow():
     h0 = wang_hamiltonian(0).density
     assert dx(variational_derivative(h0)) == u(1)

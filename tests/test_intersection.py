@@ -99,6 +99,12 @@ def test_table_entry_constraints():
             assert tuple(sorted(jets)) == jets
             assert sum(jets) == 2 * g
             assert len(jets) == d + 2 - 2 * g >= 1
+    # _stab is a monomial's multiplicity prod_j a_j!, in any order of its jets
+    for d in range(-1, 13):
+        for mono, _ in wang_hamiltonian(d).density.terms():
+            jets = mono.jets()
+            multiplicity = math.prod(math.factorial(e) for _, e in mono.uexp)
+            assert _stab(jets) == _stab(jets[1:] + jets[:1]) == multiplicity, mono
 
 
 def test_predictor_values_are_fractions():

@@ -1,8 +1,8 @@
 """The package root: its public names, which modules a command runs, and
 the named-tuple records on the start-up path.
 
-``import qkdv`` runs only the package root and ``_version``; every other
-name loads its module on first access.  ``import qkdv.cli`` registers
+``import qkdv`` runs only the package root, which defines ``ENGINE_VERSION``;
+every other name loads its module on first access.  ``import qkdv.cli`` registers
 ``fock``, ``intersection``, ``linalg``, ``reconstruction``, ``render`` and
 ``verify`` lazily.  Until one of their attributes is read, ``sys.modules``
 holds a lazy module whose type is a subclass of ``types.ModuleType``;
@@ -74,7 +74,7 @@ def run_fresh(code, *flags):
     return child.stdout
 
 
-def test_import_qkdv_runs_only_the_root_and_version_modules():
+def test_import_qkdv_runs_only_the_package_root():
     # -S: no site hook imports anything before qkdv does
     out = run_fresh(
         "import sys; before = set(sys.modules); import qkdv; "
@@ -82,9 +82,7 @@ def test_import_qkdv_runs_only_the_root_and_version_modules():
         "-S",
     )
     added, loaded = (set(line.split()) for line in out.splitlines())
-    assert {m for m in added if m.partition(".")[0] == "qkdv"} == {
-        "qkdv", "qkdv._version"
-    }
+    assert {m for m in added if m.partition(".")[0] == "qkdv"} == {"qkdv"}
     assert loaded.isdisjoint({"fractions", "json", "argparse"})
 
 
@@ -182,7 +180,7 @@ def test_records_hash_and_print_as_before_and_replace_fields():
 
 
 def test_every_public_name_resolves_to_its_home_object():
-    assert qkdv.ENGINE_VERSION is qkdv._version.ENGINE_VERSION
+    assert qkdv.ENGINE_VERSION == qkdv.__version__ == "0.1.0"
     assert qkdv.check_commute is qkdv.fock.check_commute
     assert qkdv.assemble_polynomial is qkdv.intersection.assemble_polynomial
     assert qkdv.Ansatz is qkdv.reconstruction.Ansatz
@@ -193,8 +191,8 @@ def test_every_public_name_resolves_to_its_home_object():
     for name in qkdv.__all__:
         obj = getattr(qkdv, name)
         assert not isinstance(obj, types.ModuleType), name
-        home = getattr(obj, "__module__", "qkdv._version")
-        assert home.startswith("qkdv."), name
+        home = getattr(obj, "__module__", "qkdv")
+        assert home == "qkdv" or home.startswith("qkdv."), name
         assert getattr(sys.modules[home], name) is obj, name
 
 
@@ -216,9 +214,10 @@ def test_star_import_binds_every_home_object_in_a_fresh_interpreter():
         "for name in qkdv.__all__:\n"
         "    obj = namespace[name]\n"
         "    assert not isinstance(obj, types.ModuleType), name\n"
-        "    home = getattr(obj, '__module__', 'qkdv._version')\n"
+        "    home = getattr(obj, '__module__', 'qkdv')\n"
         "    assert getattr(sys.modules[home], name) is obj, name\n"
-        "    assert home == 'qkdv.' + qkdv._HOME[name], name\n"
+        "    module = qkdv._HOME.get(name)  # None: defined in the root\n"
+        "    assert home == ('qkdv.' + module if module else 'qkdv'), name\n"
         "print(len(qkdv.__all__))\n"
     )
     assert out == "61\n"

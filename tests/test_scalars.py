@@ -1,11 +1,14 @@
 """Exact Gaussian-rational arithmetic and the shared sparse-map contract."""
 
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 
-from qkdv import DiffPoly, FockVector, Partition, Scalar, SectorScalar, as_scalar
+from qkdv import (
+    DiffPoly, FockVector, Partition, Scalar, SectorScalar, as_scalar, from_json,
+)
 from qkdv.diffpoly import DiffMonomial
 from qkdv.scalars import I, ONE, SparseMap
 
@@ -43,6 +46,27 @@ def test_as_scalar_coercions():
     assert as_scalar(s) is s
     with pytest.raises(TypeError):
         as_scalar(0.5)
+
+
+@pytest.mark.parametrize(
+    "text, value",
+    [("-1/7", Fraction(-1, 7)), (" 1/2 ", Fraction(1, 2)), ("0.5", None),
+     ("1e400", None)],
+)
+def test_scalar_of_and_from_json_read_the_same_spellings(text, value):
+    # one reader of rational text: "p" or "p/q" in integers, nothing else
+    term = {"c": {"re": text, "im": text}, "hbar": 0, "u": {"0": 1}}
+    document = json.dumps({"terms": [term]})
+    if value is None:
+        with pytest.raises(ValueError):
+            Scalar.of(text)
+        with pytest.raises(ValueError):
+            Scalar.of(0, text)
+        with pytest.raises(ValueError):
+            from_json(document)
+    else:
+        assert Scalar.of(text, text) == Scalar(value, value)
+        assert from_json(document) == DiffPoly.term(Scalar(value, value), {0: 1})
 
 
 def test_inverse_of_zero_raises():

@@ -97,7 +97,13 @@ def test_only_cache_builds_the_density_document():
     # cache.density_document alone names the engine version in a document
     texts = source_texts()
     named = {name for name, src in texts.items() if "ENGINE_VERSION" in src}
-    assert named == {"_version.py", "__init__.py", "cache.py"}
+    assert named == {"__init__.py", "cache.py"}
+
+
+def test_only_scalars_parses_rational_text():
+    # scalars.parse_rational reads "p" or "p/q" for Scalar.of and the cache reader
+    spelled = [name for name, src in source_texts().items() if 'partition("/")' in src]
+    assert spelled == ["scalars.py"]
 
 
 def test_only_fock_refuses_a_negative_sector_bound():
