@@ -44,29 +44,44 @@ times tau^(h + a) and integer counts.
 Integer rows
 ------------
 Inside the kernel a state is its descending parts tuple and a number an
-int.  Rows are flat, ((parts, tau, p0), n); each density carries one
-denominator, the lcm D_f of its coefficients' (``_integral``), and an input
-vector one more, D_v (``_vector_rows``).  Both enter through ``phased`` and
-split into parts q = 0 and 1, int rows times i^q; a Hamiltonian is part 0
-alone.  ``_apply_to_basis`` (memoized per density, part and state),
-``_act`` and ``_cross_once`` are each one loop that adds int products
-straight into sums, so a key is hashed once per product.  ``_realize`` adds
-i^(q + h) * n / scale at hbar^h once per entry: it is the one way back to
-Q(i), and with the witnesses the only place the kernel builds a Partition,
-Scalar, SectorScalar or FockVector.
+int.  The enumeration's rows (``_split_apply``, ``_tracked_single``) keep
+parts tuples; every row the kernel sums or memoizes per density is keyed by
+one packed int, ``sid << 32 | tau << 16 | p0``, and the memo of
+``_apply_to_basis`` holds its rows as a tuple of keys and a tuple of
+counts.  The state id sid is the tuple's index in the id table ``_STATES``,
+which ``_sid`` interns once (under a lock, so threads agree on it), so a
+state's parts are stored once however many rows reach it.  Adding the low
+32 bits of two keys adds their powers, provided no field carries into the
+next: each row's power, a vector's (``_vector_rows``) or a density's
+(``_integral``: hbar plus the factor count bounds tau and p0), must lie in
+[0, 2^14), else ValueError, and a key sums at most three rows' powers,
+below 2^16.  Each density carries one denominator, the lcm D_f of its
+coefficients' (``_integral``), and an input vector one more, D_v
+(``_vector_rows``).  Both enter through ``phased`` and split into parts
+q = 0 and 1, int rows times i^q; a Hamiltonian is part 0 alone.
+``_apply_to_basis`` (memoized per density, part and state id), ``_act`` and
+``_cross_once`` are each one loop that adds int products straight into
+sums, so an int is hashed once per product.
+``_realize`` decodes the keys and adds i^(q + h) * n / scale at hbar^h once
+per entry: it is the one way back to Q(i), and with the witnesses the only
+place the kernel builds a Partition, Scalar, SectorScalar or FockVector.
+No output depends on the order of the ids.
 
 Public face
 -----------
 On the kernel sit the actions :func:`apply_quantized`,
 :func:`commutator_apply` and :func:`single_contraction_apply`, the checks
 :func:`check_commute` and :func:`classical_consistency` with their errors
-and reports, and :func:`clear_fock_caches`, which resets every memo.
+and reports, :func:`clear_fock_caches`, which resets every memo and the
+state ids with them, and :func:`release_enumeration_memos`, which empties
+the enumeration memos alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import threading
 from collections import defaultdict, namedtuple
 from fractions import Fraction
 from functools import lru_cache
@@ -292,6 +307,35 @@ def _nonzero(acc: dict) -> dict:
     return {key: n for key, n in acc.items() if n}
 
 
+# the id table: a row's key is sid << 32 | tau << 16 | p0, where
+# _STATES[sid] is the state's parts tuple and _IDS[parts] is sid
+_STATES = []
+_IDS = {}
+_NEW_ID = threading.Lock()
+
+
+def _sid(parts: tuple) -> int:
+    """The id of a descending parts tuple: its index in ``_STATES``.  A new
+    state is added under a lock, so threads that meet it at once agree on
+    one id; the state is listed before its id is published."""
+    sid = _IDS.get(parts)
+    if sid is None:
+        with _NEW_ID:
+            sid = _IDS.get(parts)
+            if sid is None:
+                _STATES.append(parts)
+                sid = _IDS[parts] = len(_STATES) - 1
+    return sid
+
+
+def _fitting(n: int) -> int:
+    """n if it lies in [0, 2^14), else ValueError: a key sums at most three
+    rows' powers, so then no field of it reaches 2^16."""
+    if n >> 14:
+        raise ValueError(f"Fock kernel hbar and p0 powers lie in [0, 16384), not {n}")
+    return n
+
+
 def _scaled(pairs) -> tuple[int, dict]:
     """The lcm D of the denominators in (key, Scalar) pairs, and the pairs
     times D as {q: [(key, int)]}, q = 0 real and 1 imaginary, if not empty."""
@@ -305,20 +349,26 @@ def _scaled(pairs) -> tuple[int, dict]:
 def _integral(f: DiffPoly) -> tuple[int, dict]:
     """f's scaled parts in tau as the kernel acts with them: its normal form,
     since total derivatives act as zero, plus the constants which that drops."""
+    for m, _ in f.terms():
+        _fitting(m.hbar + m.udegree())  # bounds each row's tau and p0
     constants = DiffPoly({m: c for m, c in f.terms() if not m.uexp})
     terms = (integrand_normal_form(f) + constants).terms()
     return _scaled((m, phased(c, m.hbar - m.jet_weight())) for m, c in terms)
 
 
 def _realize(parts, scale: int) -> FockVector:
-    """(q, sums) pairs in Q(i): a sum n at (parts, tau^h, p0) adds
-    i^(q + h) * n / scale at hbar^h."""
-    by_state = defaultdict(list)
+    """(q, sums) pairs in Q(i): a sum n at the key of (state, tau^h, p0^p)
+    adds i^(q + h) * n / scale at hbar^h p0^p."""
+    by_sid = defaultdict(list)
     for q, rows in parts:
-        for (state, h, p), n in rows.items():
-            by_state[state].append(((h, p), phased(Scalar(Fraction(n, scale)), -q - h)))
-    amps = {Partition(s): SectorScalar(accumulate(a)) for s, a in by_state.items()}
-    return FockVector(amps)
+        for key, n in rows.items():
+            h = key >> 16 & 0xFFFF
+            by_sid[key >> 32].append(
+                ((h, key & 0xFFFF), phased(Scalar(Fraction(n, scale)), -q - h))
+            )
+    return FockVector(
+        {Partition(_STATES[s]): SectorScalar(accumulate(a)) for s, a in by_sid.items()}
+    )
 
 
 @lru_cache(maxsize=None)
@@ -332,24 +382,28 @@ def _split_apply(jet_groups: tuple, lam: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _apply_to_basis(f: DiffPoly, q: int, lam: tuple) -> tuple:
-    """Part q of f-hat |lam> as summed ((parts, tau, p0), n) rows, scale D_f."""
+def _apply_to_basis(f: DiffPoly, q: int, sid: int) -> tuple:
+    """Part q of f-hat |state sid> as summed rows of scale D_f, stored as two
+    tuples, the keys and the counts, rather than one pair per row."""
     out = defaultdict(int)
     for mono, a in _integral(f)[1][q]:
-        for kept, created, (h, p), c in _split_apply(mono.uexp, lam):
-            out[_merged(kept, created), h + mono.hbar, p] += a * c
-    return tuple(_nonzero(out).items())
+        for kept, created, (h, p), c in _split_apply(mono.uexp, _STATES[sid]):
+            out[_sid(_merged(kept, created)) << 32 | h + mono.hbar << 16 | p] += a * c
+    out = _nonzero(out)
+    return tuple(out), tuple(out.values())
 
 
 def _act(f: DiffPoly, q: int, rows) -> dict:
-    """Part q of f-hat on ((parts, tau, p0), n) rows, as sums that may
-    vanish; their scale is the rows' times D_f.  Each row reads its state's
-    memoized column: grouping the rows by state would save lookups, but the
-    grouping costs more than they do."""
+    """Part q of f-hat on (key, n) rows, as sums that may vanish; their
+    scale is the rows' times D_f.  Each row reads its state's memoized
+    column and adds its powers, its key's low bits, to each column key:
+    grouping the rows by state would save lookups, but the grouping costs
+    more than they do."""
     out = defaultdict(int)
-    for (lam, h1, p1), a in rows:
-        for (mu, h2, p2), c in _apply_to_basis(f, q, lam):
-            out[mu, h1 + h2, p1 + p2] += a * c
+    for key, a in rows:
+        low = key & 0xFFFFFFFF
+        for code, c in zip(*_apply_to_basis(f, q, key >> 32)):
+            out[code + low] += a * c
     return out
 
 
@@ -361,8 +415,10 @@ def _minus(x: dict, y: dict) -> dict:
 
 
 def _vector_rows(v: FockVector) -> tuple[int, dict]:
-    terms = ((lam.parts, h, p, c) for lam, a in v.terms() for (h, p), c in a.terms())
-    return _scaled(((lam, h, p), phased(c, h)) for lam, h, p, c in terms)
+    return _scaled(
+        (_sid(lam.parts) << 32 | _fitting(h) << 16 | _fitting(p), phased(c, h))
+        for lam, a in v.terms() for (h, p), c in a.terms()
+    )
 
 
 @lru_cache(maxsize=None)
@@ -401,7 +457,7 @@ def _cross_once(f: DiffPoly, q: int, g: DiffPoly, r: int, lam: tuple) -> dict:
             for mono_f, e in _integral(f)[1][q]:
                 h0 = hg + mono_g.hbar + mono_f.hbar
                 for mu, (h, p), x in _tracked_single(mono_f.uexp, kept, created):
-                    out[mu, h0 + h, pg + p] += a * c * e * x
+                    out[_sid(mu) << 32 | h0 + h << 16 | pg + p] += a * c * e * x
     return out
 
 
@@ -522,15 +578,16 @@ def check_commute(d1: int, d2: int, mmax: int) -> CommuteReport:
     (d_f, fs), (d_g, gs) = _integral(f), _integral(g)
     max_dim = 0
     for lam in basis:
-        fv = {q: _apply_to_basis(f, q, lam.parts) for q in fs}
-        gv = {r: _apply_to_basis(g, r, lam.parts) for r in gs}
-        # states, not (state, tau, p0) keys, over every part
-        states = ({k[0] for rows in v.values() for k, _ in rows} for v in (fv, gv))
+        sid = _sid(lam.parts)
+        fv = {q: _apply_to_basis(f, q, sid) for q in fs}
+        gv = {r: _apply_to_basis(g, r, sid) for r in gs}
+        # state ids, not (state, tau, p0) keys, over every part
+        states = ({k >> 32 for keys, _ in v.values() for k in keys} for v in (fv, gv))
         max_dim = max(max_dim, *map(len, states))
         # both orders carry the scale D_f * D_g, so their rows compare as
         # ints; parts q + r and q + r + 2 may cancel, so their sum decides
         diff = [
-            (q + r, _minus(_act(f, q, gv[r]), _act(g, r, fv[q])))
+            (q + r, _minus(_act(f, q, zip(*gv[r])), _act(g, r, zip(*fv[q]))))
             for q, r in itertools.product(fs, gs)
         ]
         w = _realize(diff, d_f * d_g)
@@ -577,8 +634,21 @@ def classical_consistency(
 
 
 def clear_fock_caches() -> None:
-    """Reset every memo of the layer: each lru_cache among this module's
-    globals."""
+    """Reset every memo of the layer, each lru_cache among this module's
+    globals, and with them the id table, so no stale id names a state.
+    Call it while no other thread is inside the kernel: rows that a running
+    call holds name ids of the table it clears."""
     for memo in globals().values():
         if hasattr(memo, "cache_clear"):
             memo.cache_clear()
+    _IDS.clear()
+    _STATES.clear()
+
+
+def release_enumeration_memos() -> None:
+    """Empty the enumeration memos ``_submultisets``, ``_annihilated`` and
+    ``_assignment_count``, so that a long run of checks reuses their memory
+    instead of adding to it.  They hold no state ids and no trace reads
+    their counts; a later call recomputes the rows it needs."""
+    for memo in (_submultisets, _annihilated, _assignment_count):
+        memo.cache_clear()

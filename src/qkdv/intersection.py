@@ -254,22 +254,28 @@ def assemble_polynomial(d: int, g: int) -> StrataPolynomial:
 def _closed_form(n: int, g: int) -> MPoly:
     """[z^(2g)] S((a_1+...+a_n) z) S(a_1 z) ... S(a_n z) in the a_i, with
     S(x) = sinh(x/2)/(x/2) = sum_k x^(2k) / (4^k (2k+1)!): the falling table
-    of (d, g) for n = d + 2 - 2g, in the shape of the Buryak-Shadrin-Spitz-
-    Zvonkine formula for psi-integrals over double ramification cycles.  A
-    term takes k0 from the sum factor and k_i from the others, and a
+    of (d, g) for n = d + 2 - 2g >= 1, in the shape of the Buryak-Shadrin-
+    Spitz-Zvonkine formula for psi-integrals over double ramification cycles.
+    A term takes k0 from the sum factor and k_i from the others, and a
     multinomial share beta of (sum a)^(2 k0).
     """
 
-    def s(k: int) -> Fraction:
-        return Fraction(1, 4**k * math.factorial(2 * k + 1))
+    def compositions(total: int):
+        # the n-tuples of sum total in lex order, as in orderings' walk: the
+        # differences of the non-decreasing (n - 1)-tuples c in [0, total],
+        # framed by 0 and total
+        for c in combinations_with_replacement(range(total + 1), n - 1):
+            yield tuple(map(operator.sub, c + (total,), (0,) + c))
 
+    inverse_s = [4**k * math.factorial(2 * k + 1) for k in range(g + 1)]
     return accumulate(
         (tuple(2 * k + b for k, b in zip(ks, beta)),
-         s(k0) * math.prod(map(s, ks)) * math.factorial(2 * k0)
-         / math.prod(map(math.factorial, beta)))
+         Fraction(math.factorial(2 * k0), inverse_s[k0]
+                  * math.prod(map(inverse_s.__getitem__, ks))
+                  * math.prod(map(math.factorial, beta))))
         for k0 in range(g + 1)
-        for ks in product(range(g - k0 + 1), repeat=n) if sum(ks) == g - k0
-        for beta in product(range(2 * k0 + 1), repeat=n) if sum(beta) == 2 * k0
+        for ks in compositions(g - k0)
+        for beta in compositions(2 * k0)
     )
 
 

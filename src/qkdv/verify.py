@@ -20,7 +20,7 @@ from .diffpoly import (
     is_homogeneous,
     to_json,
 )
-from .fock import check_commute, classical_consistency
+from .fock import check_commute, classical_consistency, release_enumeration_memos
 from .functionals import to_functional
 from .hierarchy import (
     classical_density,
@@ -252,6 +252,7 @@ def run_suite(level: str = "quick", echo=None) -> VerifySummary:
             detail = f"{type(exc).__name__}: {exc}"
             passed = False
         results.append(CheckResult(name, passed, detail))
+        release_enumeration_memos()
         if echo is not None:
             echo(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
     return VerifySummary(level, results)

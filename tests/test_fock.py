@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import json
 import random
+import threading
 from fractions import Fraction
 
 import pytest
@@ -479,10 +480,114 @@ def test_clearing_empties_every_kernel_memo():
     check_commute(1, 2, 3)
     classical_consistency(u(0, 3), u(0) * u(1, 2), 3)
     assert all(memo.cache_info().currsize for memo in memos.values())
+    assert fock._STATES
     clear_fock_caches()
     assert {name: memo.cache_info().currsize for name, memo in memos.items()} == {
         name: 0 for name in memos
     }
+    # the id table goes with the memos keyed by its ids
+    assert fock._STATES == [] and fock._IDS == {}
+
+
+def test_threads_that_meet_a_new_state_at_once_agree_on_its_id():
+    """Ids are handed out under a lock: each state gets one id, and the id
+    names it in the table, however the threads interleave."""
+    clear_fock_caches()
+    states = [tuple(range(k, 0, -1)) for k in range(1, 400)]
+    start = threading.Barrier(8)
+    seen = []
+
+    def intern():
+        start.wait()
+        seen.append([fock._sid(parts) for parts in states])
+
+    threads = [threading.Thread(target=intern) for _ in range(8)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert len(seen) == 8 and all(ids == seen[0] for ids in seen)
+    assert [fock._STATES[sid] for sid in seen[0]] == states
+    assert len(fock._STATES) == len(fock._IDS) == len(states)
+    clear_fock_caches()
+
+
+def test_verify_releases_the_enumeration_memos_after_each_check(monkeypatch):
+    """run_suite empties the untraced enumeration memos after every check,
+    so each check starts without them, and keeps the memos that the
+    benchmark's tracer reads and the state ids their rows name."""
+    from qkdv import verify
+
+    released = (fock._submultisets, fock._annihilated, fock._assignment_count)
+    sizes = []
+
+    def sized(fn):
+        def run(bounds):
+            sizes.append([m.cache_info().currsize for m in released])
+            try:
+                return fn(bounds)
+            finally:
+                sizes.append([m.cache_info().currsize for m in released])
+
+        return run
+
+    clear_fock_caches()
+    checks = tuple((name, sized(fn)) for name, fn in verify._CHECKS)
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+    assert run_suite("quick").passed
+    entering, leaving = sizes[::2], sizes[1::2]
+    assert all(size == [0, 0, 0] for size in entering)
+    assert any(all(size) for size in leaving)
+    assert all(m.cache_info().currsize == 0 for m in released)
+    for memo in (fock._split_apply, fock._apply_to_basis, fock._tracked_single):
+        assert memo.cache_info().currsize
+    assert fock._STATES
+
+
+def test_commutator_is_the_same_across_a_cache_reset():
+    """Clearing the memos resets the state ids, and states met in another
+    order after the reset get other ids: no result may depend on them."""
+    f, g = wang_hamiltonian(2).density, u(0) * u(1, 2) + u(3)
+    v = FockVector.basis(Partition.make([2, 1])).scale(
+        SectorScalar.monomial(Scalar.of("1/3", 2), 1, 1)
+    ) + FockVector.basis(Partition.make([3, 1, 1]))
+    before = commutator_apply(f, g, v)
+    ids_before = dict(zip(fock._STATES, itertools.count()))
+    clear_fock_caches()
+    apply_quantized(g, FockVector.basis(Partition.make([4, 2])))
+    after = commutator_apply(f, g, v)
+    ids_after = dict(zip(fock._STATES, itertools.count()))
+    assert ids_after != {s: ids_after[s] for s in ids_before if s in ids_after}
+    assert after == before and str(after) == str(before) and not after.is_zero()
+    assert after == scalar_commutator(f, g, v)
+
+
+def test_largest_kernel_powers_round_trip_and_larger_ones_are_refused():
+    """A key packs the hbar (tau) and p0 powers into 16-bit fields and sums
+    at most three rows' powers, a vector's and two densities', so each row's
+    must stay below 2^14 for no field to carry into the next."""
+    top = 2**14 - 1
+    lam = Partition.make([2, 1])
+    v = FockVector.basis(lam).scale(SectorScalar.monomial(Scalar.of(1, 1), top, top))
+    assert apply_quantized(DiffPoly.const(1), v) == v
+    # tau reaches hbar plus one per annihilated factor, so hbar + factors <= top
+    f = DiffPoly.term(Scalar.of("1/2"), ((1, 2),), hbar=top - 2)
+    g = DiffPoly.term(Scalar.of(0, 3), ((0, 3),), hbar=top - 3)
+    got = commutator_apply(f, g, v)
+    assert not got.is_zero() and got == scalar_commutator(f, g, v)
+    assert max(h for _, a in got.terms() for (h, _), _ in a.terms()) > 2 * top
+    too_large = [
+        SectorScalar.monomial(1, top + 1, 0),
+        SectorScalar.monomial(1, 0, top + 1),
+        SectorScalar.monomial(1, -1, 0),
+        SectorScalar.monomial(1, 0, -1),
+    ]
+    for amp in too_large:
+        with pytest.raises(ValueError, match="hbar and p0 powers"):
+            apply_quantized(DiffPoly.const(1), FockVector.basis(lam).scale(amp))
+    for density in (DiffPoly.term(1, ((0, 2),), hbar=top - 1), DiffPoly.hbar(top + 1)):
+        with pytest.raises(ValueError, match="hbar and p0 powers"):
+            apply_quantized(density, FockVector.basis(lam))
 
 
 # sha256 of json.dumps(check_commute(5, 6, 8).to_json_dict(), sort_keys=True),

@@ -391,3 +391,32 @@ def test_closed_form_needs_the_sum_factor():
             if sum(ks) == g
         }
         assert sp.falling_dict() != without
+
+
+def _closed_form_by_filtering(n, g):
+    """The closed form's definition: every k and beta tuple of the Cartesian
+    products, kept when its sum is right."""
+
+    def s(k):
+        return Fraction(1, 4**k * math.factorial(2 * k + 1))
+
+    out = {}
+    for k0 in range(g + 1):
+        for ks in product(range(g - k0 + 1), repeat=n):
+            for beta in product(range(2 * k0 + 1), repeat=n):
+                if sum(ks) == g - k0 and sum(beta) == 2 * k0:
+                    key = tuple(2 * k + b for k, b in zip(ks, beta))
+                    c = s(k0) * math.prod(map(s, ks)) * math.factorial(2 * k0)
+                    c /= math.prod(map(math.factorial, beta))
+                    out[key] = out.get(key, 0) + c
+    return out
+
+
+def test_closed_form_enumerates_exactly_the_filtered_products():
+    """The compositions walked directly give the same dict as the
+    product-and-filter definition, the empty genus included."""
+    for n in range(1, 7):
+        for g in range(4):
+            got = _closed_form(n, g)
+            assert got == _closed_form_by_filtering(n, g), (n, g)
+            assert all(type(c) is Fraction for c in got.values()), (n, g)
